@@ -847,110 +847,6 @@ let micro () =
   List.rev !results
 
 (* ------------------------------------------------------------------ *)
-(* ------------------------------------------------------------------ *)
-(* E-PAR *)
-
-(* Threads-scaling micro: the exhaustive two-label search batch at
-   pool widths 1, 2, 4.  Verifies the pool contract (results
-   byte-identical to sequential) and prints the wall time plus the
-   par.* counter deltas per width; on a single-core container the
-   interesting column is the accounting, not the speedup.  Kept out
-   of the --quick subset and, because the search route never touches
-   re.enum_nodes, out of the bench regression gate's node-count
-   comparison. *)
-let e_par () =
-  let support = bipartite_cycle 3 in
-  Format.printf
-    "two-label search_batch (49 problems, C_6 support) by pool width:@.";
-  Format.printf "  %4s %12s %10s %10s %10s %8s@." "jobs" "wall" "submitted"
-    "completed" "stolen" "merges";
-  let baseline = ref None in
-  List.iter
-    (fun jobs ->
-      (* Fresh problems per width: each task must own its instance's
-         constraint memo tables. *)
-      let problems = Zero_round.two_label_problems () in
-      let before = Telemetry.snapshot () in
-      let t0 = Telemetry.now_ns () in
-      let results = Zero_round.search_batch ~jobs support problems in
-      let t1 = Telemetry.now_ns () in
-      let d = Telemetry.delta ~before ~after:(Telemetry.snapshot ()) in
-      let c name = Option.value ~default:0 (List.assoc_opt name d) in
-      Format.printf "  %4d %12s %10d %10d %10d %8d@." jobs
-        (Format.asprintf "%a" Telemetry.pp_duration (Int64.sub t1 t0))
-        (c "par.tasks_submitted")
-        (c "par.tasks_completed")
-        (c "par.tasks_stolen") (c "par.merges");
-      match !baseline with
-      | None -> baseline := Some results
-      | Some b ->
-          if results <> b then
-            failwith
-              (Printf.sprintf
-                 "E-PAR: results at jobs=%d differ from sequential" jobs))
-    [ 1; 2; 4 ];
-  Format.printf "results identical across widths: true@."
-
-(* ------------------------------------------------------------------ *)
-(* E-SCALE *)
-
-(* Threads-scaling over the real kernels, the rows CI archives as an
-   artifact: the full E-LIFT agreement workload (both decision routes
-   per problem, [Zero_round.decide_batch]) and an RE sequence
-   ([Sequence.iterate_re], whose per-step lattice descents fan out
-   wave by wave) at pool widths 1, 2 and 4.  Each row asserts the
-   results byte-identical to the width-1 run; like E-PAR, the
-   experiment stays out of --quick and has no baseline entry, so the
-   honest single-core wall column (speedup materializes only on
-   multi-core machines) never trips the regression gate. *)
-let e_scale () =
-  let widths = [ 1; 2; 4 ] in
-  let row jobs wall base_wall =
-    Format.printf "  %4d %12s %8s@." jobs
-      (Format.asprintf "%a" Telemetry.pp_duration wall)
-      (if jobs = 1 then "1.00x"
-       else
-         Printf.sprintf "%.2fx"
-           (Int64.to_float base_wall /. Int64.to_float (Int64.max 1L wall)))
-  in
-  let scale title run check_equal =
-    Format.printf "%s by pool width:@." title;
-    Format.printf "  %4s %12s %8s@." "jobs" "wall" "speedup";
-    let baseline = ref None and base_wall = ref 0L in
-    List.iter
-      (fun jobs ->
-        let t0 = Telemetry.now_ns () in
-        let results = run jobs in
-        let wall = Int64.sub (Telemetry.now_ns ()) t0 in
-        (match !baseline with
-        | None ->
-            baseline := Some results;
-            base_wall := wall
-        | Some b ->
-            if not (check_equal b results) then
-              failwith
-                (Printf.sprintf "E-SCALE: %s at jobs=%d differs from \
-                                 sequential" title jobs));
-        row jobs wall !base_wall)
-      widths;
-    Format.printf "  results identical across widths: true@."
-  in
-  let support = bipartite_cycle 3 in
-  scale "E-LIFT decide_batch (49 problems x 2 routes, C_6 support)"
-    (fun jobs ->
-      (* Fresh problems per width: each task owns its memo tables. *)
-      Zero_round.decide_batch ~jobs support (Zero_round.two_label_problems ()))
-    (fun a b -> a = b);
-  scale "E-SEQ iterate_re (mm:3, 2 steps)"
-    (fun jobs ->
-      (* Cold RE cache per width, or widths > 1 would only replay
-         cached results. *)
-      Re_step.clear_cache ();
-      List.map Problem.to_string
-        (Sequence.iterate_re ~jobs (MF.maximal_matching ~delta:3) ~steps:2))
-    (fun a b -> a = b)
-
-(* ------------------------------------------------------------------ *)
 (* Experiment registry, machine-readable output, and the driver.
 
    Each experiment runs bracketed by a wall-clock reading and a
@@ -998,13 +894,6 @@ let all_experiments =
     ( "E-B1",
       "Lemma B.1, executable: one round elimination step on algorithms",
       e_b1 );
-    ( "E-PAR",
-      "Pool scaling: the 0-round search batch at widths 1/2/4, byte-identical",
-      e_par );
-    ( "E-SCALE",
-      "Threads scaling of the real kernels: E-LIFT decide_batch and E-SEQ \
-       iterate_re at widths 1/2/4",
-      e_scale );
   ]
 
 (* The CI smoke subset: cheap experiments only (pure tables, diagrams,
@@ -1252,7 +1141,7 @@ let breaches_gate ~base ~cur = BR.breaches ~ratio:gate_ratio ~base ~cur
    experiment id present in both, the current [re.enum_nodes] may not
    exceed the baseline by more than 10%, and the current [alloc_b] may
    not exceed the baseline by more than 2% (deterministic sequential
-   allocation; parallel experiments exempt, reports lacking the alloc
+   allocation; reports lacking the alloc
    fields skipped-and-noted).  Returns the exit code (0 within
    tolerance, 1 regressed or unreadable). *)
 let compare_reports baseline_file current_file =
@@ -1286,9 +1175,7 @@ let compare_reports baseline_file current_file =
           Printf.printf "%-10s alloc_b %12d -> %12d  (%.3fx)%s\n" ck.BR.ac_id
             ck.BR.ac_base ck.BR.ac_cur
             (ratio_of ck.BR.ac_cur ck.BR.ac_base)
-            (if ck.BR.ac_breach then "  REGRESSED"
-             else if ck.BR.ac_exempt then "  (exempt: parallel)"
-             else ""))
+            (if ck.BR.ac_breach then "  REGRESSED" else ""))
         alloc.BR.checks;
       List.iter
         (Printf.printf
@@ -1314,8 +1201,7 @@ let compare_reports baseline_file current_file =
           "all %d shared experiment(s) within 1.10x of baseline%s\n" !compared
           (if alloc.BR.checks <> [] then
              Printf.sprintf " (and %d within %.2fx on allocation)"
-               (List.length
-                  (List.filter (fun c -> not c.BR.ac_exempt) alloc.BR.checks))
+               (List.length alloc.BR.checks)
                alloc_gate_ratio
            else "");
         0
@@ -1356,8 +1242,7 @@ let report_markdown baseline_file current_file =
       p "baseline: `%s` — current: `%s`\n\n" baseline_file current_file;
       p "Gates: per-experiment `re.enum_nodes` may not exceed the baseline \
          by more than %.0f%%; per-experiment `alloc_b` by more than %.0f%% \
-         (deterministic sequential allocation; parallel experiments \
-         exempt).\n\n"
+         (deterministic sequential allocation).\n\n"
         ((gate_ratio -. 1.) *. 100.)
         ((alloc_gate_ratio -. 1.) *. 100.);
       (* --- per-experiment wall clock and the gated counter --- *)
@@ -1454,9 +1339,7 @@ let report_markdown baseline_file current_file =
             p "| %s | %d | %d | %.3fx | %s |\n" ck.BR.ac_id ck.BR.ac_base
               ck.BR.ac_cur
               (ratio_of ck.BR.ac_cur ck.BR.ac_base)
-              (if ck.BR.ac_breach then "**REGRESSED**"
-               else if ck.BR.ac_exempt then "exempt (parallel)"
-               else "ok"))
+              (if ck.BR.ac_breach then "**REGRESSED**" else "ok"))
           alloc.BR.checks;
         List.iter
           (fun id -> p "| %s | – | – | – | skipped (older report) |\n" id)
@@ -1617,11 +1500,10 @@ let history files =
              Option.bind entry (fun e ->
                  List.assoc_opt "re.enum_nodes" e.BR.ex_counters))
            series);
-      if not (List.mem id BR.alloc_exempt_ids) then
-        trend ~label:"alloc_b" ~ratio:alloc_gate_ratio
-          (List.filter_map
-             (fun (_, entry) -> Option.bind entry (fun e -> e.BR.ex_alloc_b))
-             series))
+      trend ~label:"alloc_b" ~ratio:alloc_gate_ratio
+        (List.filter_map
+           (fun (_, entry) -> Option.bind entry (fun e -> e.BR.ex_alloc_b))
+           series))
     ids;
   p "\n## Verdict\n\n";
   if ids = [] then begin

@@ -10,7 +10,6 @@
      sequence — iterate RE and machine-check the lower-bound sequence
      stats    — run a workload and print the telemetry counter summary
      sweep    — decide 0-round solvability over the two-label space
-                (--jobs N fans the problems out over OCaml domains)
      runs     — list/show/diff/gc the slocal.run/1 ledger
      trace    — analyze a recorded trace (trace report FILE)
      export   — print a problem in the textual document format
@@ -23,8 +22,8 @@
 
    The kernel-facing subcommands (re, lift, solve, gen, audit, stats,
    sequence, sweep) accept [--trace FILE] to record a JSONL telemetry
-   trace (schema slocal.trace/4, domain-tagged with per-span GC-work
-   deltas and request-id stamps; see DESIGN.md) and [--metrics] to print the
+   trace (schema slocal.trace/5, with per-span GC-work deltas and
+   request-id stamps; see DESIGN.md) and [--metrics] to print the
    counter summary to stderr on exit; each of them also appends one
    slocal.run/1 manifest record to the run ledger (SLOCAL_LEDGER or
    .slocal/runs.jsonl; "off" disables).  re/solve/sequence/audit/stats
@@ -33,9 +32,8 @@
    default when stderr is a TTY).  [trace report FILE] reads a trace
    back and prints a profile (span tree self-times, hotspots, critical
    path, provenance table), with [--alloc] (self/cumulative
-   allocation), [--json] (schema slocal.profile/1), [--folded] /
-   [--folded-alloc] (flamegraph.pl / speedscope) and [--timeline]
-   (per-domain lanes, utilization) outputs.
+   allocation), [--json] (schema slocal.profile/2) and [--folded] /
+   [--folded-alloc] (flamegraph.pl / speedscope) outputs.
 
    Problems are selected from the built-in families of the paper:
      matching:D:X:Y      Π_D(X,Y)            (Definition 4.2)
@@ -66,11 +64,18 @@ module Ledger = Slocal_obs.Ledger
 module Progress = Slocal_obs.Progress
 module Openmetrics = Slocal_obs.Openmetrics
 module Serve = Slocal_serve.Serve
+module Spec = Slocal_analysis.Spec
 
-(* Spec parsing lives in Slocal_serve.Serve so the one-shot CLI and
-   the serve daemon accept identical problem/graph specs. *)
-let parse_problem = Serve.parse_problem_spec
-let parse_graph = Serve.parse_graph_spec
+(* A spec that does not parse is unusable input: print its SL000
+   diagnostic and exit 2, the lint/audit contract for unusable input. *)
+let or_exit = function
+  | Ok v -> v
+  | Error d ->
+      Format.eprintf "%a@." Diagnostic.pp d;
+      exit 2
+
+let parse_problem spec = or_exit (Spec.problem spec)
+let parse_graph spec = or_exit (Spec.graph spec)
 
 let problem_arg =
   let doc =
@@ -87,7 +92,7 @@ let trace_opt =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record a JSONL telemetry trace (schema slocal.trace/4) to $(docv): \
+          "Record a JSONL telemetry trace (schema slocal.trace/5) to $(docv): \
            spans over the hot kernels (with allocation and GC-work deltas) \
            plus a final counter snapshot.")
 
@@ -115,17 +120,6 @@ let progress_flag =
         ~doc:
           "Emit throttled [progress] heartbeat lines to stderr even when \
            stderr is not a TTY (on a TTY the heartbeat is on by default).")
-
-let jobs_opt =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Fan the command's independent kernel work out over $(docv) OCaml \
-           domains (default 1 = sequential).  The report is byte-identical \
-           for every $(docv) (DESIGN.md §9); only the wall time, the \
-           schedule recorded in a --trace file, and the par.* counters \
-           change.")
 
 let kernel_name = function
   | Re_step.Fast -> "fast"
@@ -229,7 +223,7 @@ let re_cmd =
   let steps =
     Arg.(value & opt int 1 & info [ "steps"; "k" ] ~doc:"Number of RE steps.")
   in
-  let run spec steps kernel jobs trace metrics openmetrics progress =
+  let run spec steps kernel trace metrics openmetrics progress =
     Re_step.set_kernel kernel;
     with_telemetry ~cmd:"re" ~kernel
       ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
@@ -238,7 +232,7 @@ let re_cmd =
     let p = ref (parse_problem spec) in
     print_string (Problem.to_string !p);
     for i = 1 to steps do
-      p := Re_step.re ~jobs !p;
+      p := Re_step.re !p;
       Format.printf "@.--- after RE step %d ---@." i;
       print_string (Problem.to_string !p)
     done;
@@ -248,8 +242,8 @@ let re_cmd =
   Cmd.v
     (Cmd.info "re" ~doc:"Apply round elimination steps")
     Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ trace_opt
-      $ metrics_flag $ openmetrics_opt $ progress_flag)
+      const run $ problem_arg $ steps $ kernel_opt $ trace_opt $ metrics_flag
+      $ openmetrics_opt $ progress_flag)
 
 let lift_cmd =
   let delta =
@@ -285,20 +279,7 @@ let solve_cmd =
   let budget =
     Arg.(value & opt int 20_000_000 & info [ "budget" ] ~doc:"Search node budget.")
   in
-  let portfolio_opt =
-    Arg.(
-      value & opt int 1
-      & info [ "portfolio" ] ~docv:"K"
-          ~doc:
-            "Race $(docv) search starts with diverse variable orderings \
-             (start 0 is the default BFS ordering) over the --jobs pool; \
-             the reported verdict is that of the lowest-indexed decisive \
-             start — deterministic for each $(docv), whatever the width or \
-             schedule (DESIGN.md §9).  Per-start node statistics are \
-             schedule-dependent, so the effort lines are omitted.")
-  in
-  let run spec gspec lift_flag budget jobs portfolio trace metrics openmetrics
-      progress =
+  let run spec gspec lift_flag budget trace metrics openmetrics progress =
     with_telemetry ~cmd:"solve"
       ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
       trace metrics openmetrics
@@ -313,53 +294,30 @@ let solve_cmd =
     (match Girth.girth (Bipartite.graph g) with
     | None -> Format.printf "support: n=%d acyclic@." (Bipartite.n g)
     | Some girth -> Format.printf "support: n=%d girth=%d@." (Bipartite.n g) girth);
-    if portfolio > 1 then begin
-      (* Portfolio mode prints only schedule-independent facts: the
-         verdict, the checker bit and the winning start index.  The
-         aggregate effort counters depend on cancellation timing and
-         stay out of stdout (they still reach --metrics/--trace). *)
-      let outcome, winner =
-        Solver.solve_portfolio ~max_nodes:budget ~jobs ~starts:portfolio g
-          problem
-      in
-      match outcome with
-      | Solver.Solution s ->
-          Format.printf "SOLVABLE (checker: %b; portfolio start %d of %d)@."
-            (Checker.is_solution g problem s)
-            (Option.value winner ~default:(-1))
-            portfolio
-      | Solver.No_solution ->
-          Format.printf "NO SOLUTION (portfolio of %d starts)@." portfolio
-      | Solver.Budget_exceeded ->
-          Format.printf "UNDECIDED (budget; portfolio of %d starts)@." portfolio
-    end
-    else begin
-      let outcome, st = Solver.solve_stats ~max_nodes:budget g problem in
-      (match outcome with
-      | Solver.Solution s ->
-          Format.printf "SOLVABLE (checker: %b)@."
-            (Checker.is_solution g problem s)
-      | Solver.No_solution -> Format.printf "NO SOLUTION@."
-      | Solver.Budget_exceeded -> Format.printf "UNDECIDED (budget)@.");
+    let outcome, st = Solver.solve_stats ~max_nodes:budget g problem in
+    (match outcome with
+    | Solver.Solution s ->
+        Format.printf "SOLVABLE (checker: %b)@."
+          (Checker.is_solution g problem s)
+    | Solver.No_solution -> Format.printf "NO SOLUTION@."
+    | Solver.Budget_exceeded -> Format.printf "UNDECIDED (budget)@.");
+    Format.printf
+      "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
+      st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
+    if st.Solver.budget_exhausted then
       Format.printf
-        "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
-        st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
-      if st.Solver.budget_exhausted then
-        Format.printf
-          "budget of %d nodes was the limiting factor; raise --budget to \
-           decide@."
-          st.Solver.max_nodes
-      else
-        Format.printf "budget: %d of %d nodes used (not limiting)@."
-          st.Solver.nodes st.Solver.max_nodes
-    end
+        "budget of %d nodes was the limiting factor; raise --budget to \
+         decide@."
+        st.Solver.max_nodes
+    else
+      Format.printf "budget: %d of %d nodes used (not limiting)@."
+        st.Solver.nodes st.Solver.max_nodes
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Decide bipartite solvability on a concrete graph")
     Term.(
-      const run $ problem_arg $ graph_arg 1 $ lift_flag $ budget $ jobs_opt
-      $ portfolio_opt $ trace_opt $ metrics_flag $ openmetrics_opt
-      $ progress_flag)
+      const run $ problem_arg $ graph_arg 1 $ lift_flag $ budget $ trace_opt
+      $ metrics_flag $ openmetrics_opt $ progress_flag)
 
 let bounds_cmd =
   let n = Arg.(value & opt float 1e9 & info [ "n" ] ~doc:"Number of nodes.") in
@@ -413,14 +371,14 @@ let sequence_cmd =
   let steps =
     Arg.(value & opt int 2 & info [ "steps"; "k" ] ~doc:"Number of RE iterations.")
   in
-  let run spec steps kernel jobs trace metrics openmetrics progress =
+  let run spec steps kernel trace metrics openmetrics progress =
     Re_step.set_kernel kernel;
     with_telemetry ~cmd:"sequence" ~kernel
       ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
       trace metrics openmetrics
     @@ fun () ->
     let p = parse_problem spec in
-    let seq = Sequence.iterate_re ~jobs p ~steps in
+    let seq = Sequence.iterate_re p ~steps in
     List.iteri
       (fun i q ->
         Format.printf "Π_%d: %d labels, %d white / %d black configurations@." i
@@ -435,9 +393,9 @@ let sequence_cmd =
           | Some true -> "verified"
           | Some false -> "refuted"
           | None -> "budget"))
-      (Sequence.check ~max_nodes:5_000_000 ~jobs seq);
+      (Sequence.check ~max_nodes:5_000_000 seq);
     Format.printf "lower-bound sequence: %s@."
-      (match Sequence.is_lower_bound_sequence ~max_nodes:5_000_000 ~jobs seq with
+      (match Sequence.is_lower_bound_sequence ~max_nodes:5_000_000 seq with
       | Some true -> "yes"
       | Some false -> "no"
       | None -> "undecided")
@@ -446,8 +404,8 @@ let sequence_cmd =
     (Cmd.info "sequence"
        ~doc:"Iterate RE and machine-check the lower-bound sequence")
     Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ trace_opt
-      $ metrics_flag $ openmetrics_opt $ progress_flag)
+      const run $ problem_arg $ steps $ kernel_opt $ trace_opt $ metrics_flag
+      $ openmetrics_opt $ progress_flag)
 
 let stats_cmd =
   let graph_opt =
@@ -648,9 +606,7 @@ let trace_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"TRACE"
           ~doc:
-            "A JSONL trace recorded with --trace (schema slocal.trace/4; \
-             legacy slocal.trace/1, /2 and /3 files read with the absent \
-             fields defaulted, /1 as single-domain).")
+            "A JSONL trace recorded with --trace (schema slocal.trace/5).")
   in
   let request_opt =
     Arg.(
@@ -658,10 +614,9 @@ let trace_cmd =
       & opt (some string) None
       & info [ "request" ] ~docv:"ID"
           ~doc:
-            "Profile only the events stamped with request $(docv) (the \
-             slocal.trace/4 req field written inside a slocal serve \
-             request window); the summary still lists every request \
-             present in the file.")
+            "Profile only the events stamped with request $(docv) (the req \
+             field written inside a slocal serve request window); the \
+             summary still lists every request present in the file.")
   in
   let json_out =
     Arg.(
@@ -669,7 +624,7 @@ let trace_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the profile as a slocal.profile/1 JSON document to $(docv) \
+            "Write the profile as a slocal.profile/2 JSON document to $(docv) \
              ($(b,-) for stdout).")
   in
   let folded_out =
@@ -697,15 +652,6 @@ let trace_cmd =
       value & opt int 10
       & info [ "top" ] ~docv:"K" ~doc:"Rows in the hotspot table.")
   in
-  let timeline_flag =
-    Arg.(
-      value & flag
-      & info [ "timeline" ]
-          ~doc:
-            "Print the parallelism timeline instead of the profile: \
-             per-domain lanes, the concurrent-busy-domains histogram, \
-             utilization, serial fraction, and each lane's critical path.")
-  in
   let alloc_flag =
     Arg.(
       value & flag
@@ -713,8 +659,7 @@ let trace_cmd =
           ~doc:
             "Print the allocation profile instead of the time profile: \
              self/cumulative allocation hotspots with per-name GC-work \
-             counts, the allocation-weighted critical path, and per-domain \
-             allocation-rate lanes.")
+             counts, and the allocation-weighted critical path.")
   in
   let write_output what file text =
     match file with
@@ -725,8 +670,7 @@ let trace_cmd =
         close_out oc;
         Format.eprintf "wrote %s %s@." what file
   in
-  let run trace_file request json_out folded_out folded_alloc_out top timeline
-      alloc =
+  let run trace_file request json_out folded_out folded_alloc_out top alloc =
     let profile = Profile.of_file ?request trace_file in
     (* An empty or fully-damaged trace means there is nothing to
        profile: a loud SL040 diagnostic and exit 1 instead of a
@@ -754,11 +698,7 @@ let trace_cmd =
       exit 1
     end;
     (match profile.Profile.schema with
-    | Some s
-      when s <> Telemetry.trace_schema_version
-           && s <> "slocal.trace/1"
-           && s <> "slocal.trace/2"
-           && s <> "slocal.trace/3" ->
+    | Some s when s <> Telemetry.trace_schema_version ->
         Format.eprintf "trace report: warning: unknown trace schema %S@." s
     | Some _ -> ()
     | None ->
@@ -785,8 +725,7 @@ let trace_cmd =
         write_output "folded alloc stacks" file
           (Profile.folded_to_string (Profile.folded_alloc profile))
     | None -> ());
-    if timeline then Format.printf "%a@?" Profile.pp_timeline profile
-    else if alloc then Format.printf "%a@?" (Profile.pp_alloc ~top) profile
+    if alloc then Format.printf "%a@?" (Profile.pp_alloc ~top) profile
     else if json_out = None && folded_out = None && folded_alloc_out = None
     then Format.printf "%a@?" (Profile.pp ~top) profile
   in
@@ -796,11 +735,10 @@ let trace_cmd =
          ~doc:
            "Profile a recorded trace: span-tree self times, hotspots, \
             critical path, counter attribution, provenance table; \
-            --alloc for the self/cumulative allocation report; --timeline \
-            for the multi-domain parallelism report")
+            --alloc for the self/cumulative allocation report")
       Term.(
         const run $ file_arg $ request_opt $ json_out $ folded_out
-        $ folded_alloc_out $ top $ timeline_flag $ alloc_flag)
+        $ folded_alloc_out $ top $ alloc_flag)
   in
   Cmd.group
     (Cmd.info "trace" ~doc:"Analyze recorded telemetry traces")
@@ -817,9 +755,8 @@ let export_cmd =
     Term.(const run $ problem_arg)
 
 (* ------------------------------------------------------------------ *)
-(* The two-label zero-round sweep: the pilot parallel workload.  49
-   independent per-problem decisions on one support, fanned out over
-   --jobs domains; the output is byte-identical whatever the width. *)
+(* The two-label zero-round sweep: 49 independent per-problem decisions
+   on one support, by the lift route, the search route, or both. *)
 
 let sweep_cmd =
   let budget =
@@ -852,7 +789,7 @@ let sweep_cmd =
     | Some false -> "no"
     | None -> "undecided"
   in
-  let run gspec jobs route budget trace metrics openmetrics progress =
+  let run gspec route budget trace metrics openmetrics progress =
     with_telemetry ~cmd:"sweep"
       ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
       trace metrics openmetrics
@@ -862,12 +799,22 @@ let sweep_cmd =
     let lift_res =
       match route with
       | `Lift | `Both ->
-          Some (Core.Zero_round.solvable_batch ~jobs ~max_nodes:budget g problems)
+          Some
+            (List.map
+               (Core.Zero_round.solvable ~max_nodes:budget g)
+               problems)
       | `Search -> None
     in
     let search_res =
       match route with
-      | `Search | `Both -> Some (Core.Zero_round.search_batch ~jobs g problems)
+      | `Search | `Both ->
+          Some
+            (List.map
+               (fun p ->
+                 Slocal_model.Zero_round_search.exists_algorithm g p
+                   ~d_in_white:(Problem.d_white p)
+                   ~d_in_black:(Problem.d_black p))
+               problems)
       | `Lift -> None
     in
     Format.printf "two-label 0-round sweep: %d problems on %s@."
@@ -914,9 +861,9 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Decide 0-round solvability for the whole two-label problem space \
-          on one support, optionally in parallel (--jobs)")
+          on one support")
     Term.(
-      const run $ graph_arg 0 $ jobs_opt $ route_opt $ budget $ trace_opt
+      const run $ graph_arg 0 $ route_opt $ budget $ trace_opt
       $ metrics_flag $ openmetrics_opt $ progress_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -1059,13 +1006,11 @@ let lint_cmd =
                     Chk.lint_file ?delta ?r
                       (String.sub spec 5 (String.length spec - 5))
                 | _ -> (
-                    match parse_problem spec with
-                    | p ->
+                    match Spec.problem spec with
+                    | Ok p ->
                         Chk.lint_problem ?delta ?r p
                         @ Chk.lint_re_chain p ~steps:re_steps
-                    | exception Invalid_argument msg ->
-                        [ Diagnostic.error ~code:"SL000" ~subject:spec
-                            ("unparsable problem: " ^ msg) ]))
+                    | Error d -> [ d ]))
             specs
       in
       report_and_exit ~machine (domain_diags @ telemetry_diags @ diags)
@@ -1094,22 +1039,15 @@ let audit_cmd =
              ~doc:"Search-node budget for the independent unsolvability \
                    re-search (0 disables).")
   in
-  let run spec gspec k budget recheck_budget jobs machine trace metrics
-      openmetrics progress =
+  let run spec gspec k budget recheck_budget machine trace metrics openmetrics
+      progress =
     with_telemetry ~cmd:"audit"
       ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
       trace metrics openmetrics
     @@ fun () ->
-    let last_problem, support =
-      match (parse_problem spec, parse_graph gspec) with
-      | p, g -> (p, g)
-      | exception Invalid_argument msg ->
-          Printf.eprintf "audit: %s\n" msg;
-          exit 2
-    in
-    let res =
-      Core.Framework.analyze ~max_nodes:budget ~jobs support ~last_problem ~k
-    in
+    let last_problem = parse_problem spec in
+    let support = parse_graph gspec in
+    let res = Core.Framework.analyze ~max_nodes:budget support ~last_problem ~k in
     Format.printf "%a@." Core.Framework.pp_result res;
     let diags = Chk.audit ~support ~last_problem ~k ~recheck_budget res in
     report_and_exit ~machine diags
@@ -1119,7 +1057,7 @@ let audit_cmd =
        ~doc:"Run the Theorem 3.4 pipeline and re-validate the resulting \
              certificate")
     Term.(const run $ problem_arg $ graph_arg 1 $ k $ budget $ recheck_budget
-          $ jobs_opt $ machine_flag $ trace_opt $ metrics_flag
+          $ machine_flag $ trace_opt $ metrics_flag
           $ openmetrics_opt $ progress_flag)
 
 let gen_cmd =
@@ -1191,7 +1129,7 @@ let runs_cmd =
     if r.Ledger.foreign > 0 then
       Format.eprintf
         "runs: %s: ignored %d record(s) of other schemas (e.g. \
-         slocal.request/1)@."
+         slocal.request/2)@."
         path r.Ledger.foreign
   in
   let iso t =
@@ -1393,7 +1331,7 @@ let runs_cmd =
 (* The serve daemon and its client: one warm process (RE cache, memo
    tables, telemetry registry) answering JSONL requests over a
    Unix-domain socket, each work request inside a
-   Telemetry.with_request window (DESIGN.md §10). *)
+   Telemetry.with_request window (DESIGN.md §9). *)
 
 let socket_opt =
   Arg.(
@@ -1410,7 +1348,7 @@ let serve_cmd =
       & info [ "record" ] ~docv:"FILE"
           ~doc:
             "Append one slocal.capture/1 line per work request (the request \
-             JSON plus its slocal.request/1 summary) to $(docv), for later \
+             JSON plus its slocal.request/2 summary) to $(docv), for later \
              $(b,slocal client --replay).")
   in
   let request_ledger_opt =
@@ -1419,7 +1357,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "request-ledger" ] ~docv:"FILE"
           ~doc:
-            "Append one slocal.request/1 record per work request to $(docv).")
+            "Append one slocal.request/2 record per work request to $(docv).")
   in
   let heartbeat_flag =
     Arg.(
@@ -1429,13 +1367,11 @@ let serve_cmd =
             "Emit throttled [serve] heartbeat lines (uptime, requests \
              served, RE-cache hit rate) to stderr.")
   in
-  let run socket jobs record request_ledger heartbeat trace metrics openmetrics
-      =
+  let run socket record request_ledger heartbeat trace metrics openmetrics =
     with_telemetry ~cmd:"serve" trace metrics openmetrics @@ fun () ->
     let config =
       {
-        Serve.jobs;
-        record;
+        Serve.record;
         request_ledger;
         heartbeat = (if heartbeat then Some stderr else None);
         heartbeat_interval_ns =
@@ -1443,7 +1379,7 @@ let serve_cmd =
       }
     in
     let st = Serve.create ~config () in
-    Format.eprintf "serve: listening on %s (jobs=%d)@." socket jobs;
+    Format.eprintf "serve: listening on %s@." socket;
     Serve.serve ~socket st;
     Format.eprintf "serve: shut down after %d request(s) (%d error(s))@."
       (Serve.served st) (Serve.errored st)
@@ -1454,7 +1390,7 @@ let serve_cmd =
          "Serve re/sequence/solve/audit requests over a Unix socket, with a \
           warm RE cache and per-request observability")
     Term.(
-      const run $ socket_opt $ jobs_opt $ record_opt $ request_ledger_opt
+      const run $ socket_opt $ record_opt $ request_ledger_opt
       $ heartbeat_flag $ trace_opt $ metrics_flag $ openmetrics_opt)
 
 let client_cmd =

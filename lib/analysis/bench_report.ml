@@ -82,11 +82,6 @@ let gate_ratio = 1.10
    pure safety margin for runtime-version drift. *)
 let alloc_gate_ratio = 1.02
 
-(* Experiments whose harness fans work out over domains: the
-   coordinating domain's allocation depends on work-stealing order, so
-   they are exempt from the alloc gate (reported, never gated). *)
-let alloc_exempt_ids = [ "E-PAR"; "E-SCALE" ]
-
 let ratio_of cur base = float_of_int cur /. float_of_int (max 1 base)
 let breaches ~ratio ~base ~cur = float_of_int cur > float_of_int base *. ratio
 
@@ -94,8 +89,7 @@ type alloc_check = {
   ac_id : string;
   ac_base : int;
   ac_cur : int;
-  ac_exempt : bool;
-  ac_breach : bool;  (* always false when exempt *)
+  ac_breach : bool;
 }
 
 type alloc_result = {
@@ -115,16 +109,12 @@ let alloc_gate ~baseline ~current =
       | Some c -> (
           match (b.ex_alloc_b, c.ex_alloc_b) with
           | Some base, Some cur ->
-              let exempt = List.mem b.ex_id alloc_exempt_ids in
               checks :=
                 {
                   ac_id = b.ex_id;
                   ac_base = base;
                   ac_cur = cur;
-                  ac_exempt = exempt;
-                  ac_breach =
-                    (not exempt)
-                    && breaches ~ratio:alloc_gate_ratio ~base ~cur;
+                  ac_breach = breaches ~ratio:alloc_gate_ratio ~base ~cur;
                 }
                 :: !checks
           | _ -> skipped := b.ex_id :: !skipped))

@@ -11,10 +11,7 @@
     {!gate_ratio} (1.10x) because the experiment mix varies; the
     allocation gate allows only {!alloc_gate_ratio} (1.02x) because
     sequential-kernel allocation is deterministic for a fixed seed
-    (pinned down by the allocation-determinism proptest), with
-    {!alloc_exempt_ids} carved out for the multi-domain experiments
-    whose coordinating-domain allocation depends on work-stealing
-    order. *)
+    (pinned down by the allocation-determinism proptest). *)
 
 val schema_version : string
 (** ["slocal.bench/1"].  The per-experiment [alloc_b] / [minor_n] /
@@ -45,9 +42,6 @@ val gate_ratio : float
 val alloc_gate_ratio : float
 (** [1.02] — the allocation gate. *)
 
-val alloc_exempt_ids : string list
-(** Experiments never gated on allocation (parallel harnesses). *)
-
 val ratio_of : int -> int -> float
 (** [ratio_of cur base], with [base] clamped to at least 1. *)
 
@@ -57,8 +51,7 @@ type alloc_check = {
   ac_id : string;
   ac_base : int;
   ac_cur : int;
-  ac_exempt : bool;  (** Reported but not gated. *)
-  ac_breach : bool;  (** [cur > base * alloc_gate_ratio]; never for exempt. *)
+  ac_breach : bool;  (** [cur > base * alloc_gate_ratio]. *)
 }
 
 type alloc_result = {

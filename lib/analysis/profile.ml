@@ -1,18 +1,16 @@
 (* Trace analysis: span trees, self-time profiles, counter
-   attribution, critical paths, provenance tables, folded stacks, and
-   the multi-domain parallelism timeline. *)
+   attribution, critical paths, provenance tables and folded stacks. *)
 
 module Telemetry = Slocal_obs.Telemetry
 module Trace = Slocal_obs.Trace
 module Json = Slocal_obs.Json
 
-let profile_schema_version = "slocal.profile/1"
+let profile_schema_version = "slocal.profile/2"
 
 (* staticcheck: per-call trace replay builds a fresh span table per parsed trace; never shared *)
 type span = {
   id : int;
   name : string;
-  domain : int;
   t0 : int64;
   mutable t1 : int64;
   mutable alloc_b : int;
@@ -37,11 +35,8 @@ type t = {
   skipped_lines : int;
   schema : string option;
   requests : (string * int) list;
-      (* per-request event tally of the whole trace file (/4 [req]
-         stamps), first-seen order; [] for older traces or raw event
-         lists *)
-  domains : int list;
-      (* distinct domain ids carrying span events, ascending *)
+      (* per-request event tally of the whole trace file ([req]
+         stamps), first-seen order; [] for raw event lists *)
   t_min : int64;
   t_max : int64;
   messages : (int64 * string) list;
@@ -82,19 +77,8 @@ let fold_spans f acc t =
 let of_events ?(skipped = 0) events =
   let by_id : (int, span) Hashtbl.t = Hashtbl.create 64 in
   let roots = ref [] and span_count = ref 0 in
-  (* One open stack per domain (innermost first, by event order):
-     span nesting is a per-domain notion in slocal.trace/2, and a /1
-     trace simply keeps everything on domain 0's stack. *)
-  let open_stacks : (int, span list ref) Hashtbl.t = Hashtbl.create 4 in
-  let stack_of d =
-    match Hashtbl.find_opt open_stacks d with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add open_stacks d r;
-        r
-  in
-  let span_domains = ref [] in
+  (* Open spans, innermost first, by event order. *)
+  let open_stack = ref [] in
   let messages = ref [] in
   let final_counters = ref [] and prev_counters = ref [] in
   let attribution : (string, (string, int) Hashtbl.t) Hashtbl.t =
@@ -109,10 +93,9 @@ let of_events ?(skipped = 0) events =
     if Int64.compare t !t_min < 0 then t_min := t;
     if Int64.compare t !t_max > 0 then t_max := t
   in
-  let attribute domain values =
+  let attribute values =
     (* Counter deltas between consecutive snapshots are charged to the
-       span that is innermost-open on the snapshot's own domain when
-       the later snapshot is taken ("(toplevel)" outside all spans).
+       span that is innermost-open when the later snapshot is taken ("(toplevel)" outside all spans).
        Gauges subtract like counters here — the trace does not carry
        metric kinds — so last-value metrics show up as +/- swings; the
        final snapshot is reported separately and unmodified. *)
@@ -126,7 +109,7 @@ let of_events ?(skipped = 0) events =
     prev_counters := values;
     if deltas <> [] then begin
       let owner =
-        match !(stack_of domain) with [] -> "(toplevel)" | s :: _ -> s.name
+        match !open_stack with [] -> "(toplevel)" | s :: _ -> s.name
       in
       let tbl =
         match Hashtbl.find_opt attribution owner with
@@ -150,13 +133,12 @@ let of_events ?(skipped = 0) events =
       | Telemetry.Trace_start { t_ns; _ } ->
           see_t t_ns;
           if !schema = None then schema := Some Trace.schema_version
-      | Telemetry.Span_open { id; parent; name; t_ns; domain } ->
+      | Telemetry.Span_open { id; parent; name; t_ns } ->
           see_t t_ns;
           let s =
             {
               id;
               name;
-              domain;
               t0 = t_ns;
               t1 = t_ns;
               alloc_b = 0;
@@ -167,16 +149,12 @@ let of_events ?(skipped = 0) events =
             }
           in
           incr span_count;
-          if not (List.mem domain !span_domains) then
-            span_domains := domain :: !span_domains;
           Hashtbl.replace by_id id s;
           (match Option.bind parent (Hashtbl.find_opt by_id) with
           | Some p -> p.children <- p.children @ [ s ]
           | None -> roots := !roots @ [ s ]);
-          let st = stack_of domain in
-          st := s :: !st
-      | Telemetry.Span_close { id; t_ns; alloc_b; minor_n; major_n; domain; _ }
-        ->
+          open_stack := s :: !open_stack
+      | Telemetry.Span_close { id; t_ns; alloc_b; minor_n; major_n; _ } ->
           see_t t_ns;
           (match Hashtbl.find_opt by_id id with
           | Some s ->
@@ -186,19 +164,18 @@ let of_events ?(skipped = 0) events =
               s.major_n <- major_n;
               s.closed <- true
           | None -> ());
-          let st = stack_of domain in
-          st := List.filter (fun s -> s.id <> id) !st
-      | Telemetry.Counters { t_ns; domain; values } ->
+          open_stack := List.filter (fun s -> s.id <> id) !open_stack
+      | Telemetry.Counters { t_ns; values } ->
           see_t t_ns;
           final_counters := values;
-          attribute domain values
-      | Telemetry.Histograms { t_ns; values; _ } ->
+          attribute values
+      | Telemetry.Histograms { t_ns; values } ->
           see_t t_ns;
           histograms := values
-      | Telemetry.Provenance { t_ns; step; label; values; _ } ->
+      | Telemetry.Provenance { t_ns; step; label; values } ->
           see_t t_ns;
           provenance := { step; label; t_ns; values } :: !provenance
-      | Telemetry.Message { t_ns; text; _ } ->
+      | Telemetry.Message { t_ns; text } ->
           see_t t_ns;
           messages := (t_ns, text) :: !messages)
     events;
@@ -221,7 +198,6 @@ let of_events ?(skipped = 0) events =
     skipped_lines = skipped;
     schema = !schema;
     requests = [];
-    domains = List.sort compare !span_domains;
     t_min = (if Int64.compare !t_min Int64.max_int = 0 then 0L else !t_min);
     t_max = (if Int64.compare !t_max Int64.min_int = 0 then 0L else !t_max);
     messages = List.rev !messages;
@@ -260,42 +236,39 @@ type total = {
   max_ns : int;
 }
 
-let totals ?domain t =
-  let keep s = match domain with None -> true | Some d -> s.domain = d in
+let totals t =
   let tbl : (string, total) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (iter_spans (fun s ->
-         if keep s then begin
-           let d = dur_ns s and self = self_ns s in
-           let prev =
-             Option.value
-               (Hashtbl.find_opt tbl s.name)
-               ~default:
-                 {
-                   agg_name = s.name;
-                   calls = 0;
-                   cum_ns = 0;
-                   self_total_ns = 0;
-                   alloc_total_b = 0;
-                   self_alloc_total_b = 0;
-                   minor_total_n = 0;
-                   major_total_n = 0;
-                   max_ns = 0;
-                 }
-           in
-           Hashtbl.replace tbl s.name
-             {
-               prev with
-               calls = prev.calls + 1;
-               cum_ns = prev.cum_ns + d;
-               self_total_ns = prev.self_total_ns + self;
-               alloc_total_b = prev.alloc_total_b + s.alloc_b;
-               self_alloc_total_b = prev.self_alloc_total_b + self_alloc_b s;
-               minor_total_n = prev.minor_total_n + s.minor_n;
-               major_total_n = prev.major_total_n + s.major_n;
-               max_ns = max prev.max_ns d;
-             }
-         end))
+         let d = dur_ns s and self = self_ns s in
+         let prev =
+           Option.value
+             (Hashtbl.find_opt tbl s.name)
+             ~default:
+               {
+                 agg_name = s.name;
+                 calls = 0;
+                 cum_ns = 0;
+                 self_total_ns = 0;
+                 alloc_total_b = 0;
+                 self_alloc_total_b = 0;
+                 minor_total_n = 0;
+                 major_total_n = 0;
+                 max_ns = 0;
+               }
+         in
+         Hashtbl.replace tbl s.name
+           {
+             prev with
+             calls = prev.calls + 1;
+             cum_ns = prev.cum_ns + d;
+             self_total_ns = prev.self_total_ns + self;
+             alloc_total_b = prev.alloc_total_b + s.alloc_b;
+             self_alloc_total_b = prev.self_alloc_total_b + self_alloc_b s;
+             minor_total_n = prev.minor_total_n + s.minor_n;
+             major_total_n = prev.major_total_n + s.major_n;
+             max_ns = max prev.max_ns d;
+           }))
     t.roots;
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
   |> List.sort (fun a b -> compare b.self_total_ns a.self_total_ns)
@@ -308,12 +281,7 @@ let total_self_alloc_b t = fold_spans (fun a s -> a + self_alloc_b s) 0 t
 (* Descend by a span weight: heaviest root, then heaviest child at
    each level.  [critical_path] weighs by time, [critical_path_alloc]
    by cumulative bytes. *)
-let critical_path_by weight ?domain t =
-  let roots =
-    match domain with
-    | None -> t.roots
-    | Some d -> List.filter (fun s -> s.domain = d) t.roots
-  in
+let critical_path_by weight t =
   let heaviest = function
     | [] -> None
     | l ->
@@ -327,145 +295,10 @@ let critical_path_by weight ?domain t =
     | None -> List.rev (s :: acc)
     | Some c -> down (s :: acc) c
   in
-  match heaviest roots with None -> [] | Some r -> down [] r
+  match heaviest t.roots with None -> [] | Some r -> down [] r
 
-let critical_path ?domain t = critical_path_by dur_ns ?domain t
-let critical_path_alloc ?domain t = critical_path_by (fun s -> s.alloc_b) ?domain t
-
-(* ------------------------------------------------------------------ *)
-(* Parallelism timeline.
-
-   A domain is "busy" while at least one of its root spans is open;
-   per-domain busy segments are the union of that domain's root-span
-   intervals.  Sweeping all segments gives the time spent at each
-   concurrent-busy-domain level, from which utilization (busy
-   domain-time over wall × lanes) and a serial-fraction estimate
-   (time at level ≤ 1 over wall) follow. *)
-
-type lane = {
-  lane_domain : int;
-  lane_spans : int;
-  lane_busy_ns : int;
-  lane_alloc_b : int;
-      (* cumulative bytes of this domain's root spans — the domain's
-         total attributed allocation, feeding the per-lane rate *)
-}
-
-type timeline = {
-  tl_wall_ns : int;  (* trace window: t_max - t_min *)
-  tl_lanes : lane list;  (* per domain with spans, ascending *)
-  tl_busy_hist : (int * int) list;
-      (* concurrent-busy-domains level -> ns at that level, all levels
-         0..max present *)
-  tl_max_concurrency : int;
-  tl_utilization : float;
-  tl_serial_fraction : float;
-}
-
-(* Union of possibly overlapping intervals, as sorted disjoint
-   segments. *)
-let merge_intervals intervals =
-  let sorted = List.sort compare intervals in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (s, e) :: rest -> (
-        match acc with
-        | (ps, pe) :: tail when Int64.compare s pe <= 0 ->
-            go ((ps, (if Int64.compare e pe > 0 then e else pe)) :: tail) rest
-        | _ -> go ((s, e) :: acc) rest)
-  in
-  go [] sorted
-
-let timeline t =
-  let wall_ns =
-    let w = Int64.to_int (Int64.sub t.t_max t.t_min) in
-    max 0 w
-  in
-  let segments_of d =
-    List.filter_map
-      (fun s ->
-        if s.domain = d && Int64.compare s.t1 s.t0 > 0 then Some (s.t0, s.t1)
-        else None)
-      t.roots
-    |> merge_intervals
-  in
-  let lanes =
-    List.map
-      (fun d ->
-        let spans =
-          fold_spans (fun a s -> if s.domain = d then a + 1 else a) 0 t
-        in
-        let busy =
-          List.fold_left
-            (fun a (s, e) -> a + Int64.to_int (Int64.sub e s))
-            0 (segments_of d)
-        in
-        let alloc =
-          List.fold_left
-            (fun a s -> if s.domain = d then a + s.alloc_b else a)
-            0 t.roots
-        in
-        {
-          lane_domain = d;
-          lane_spans = spans;
-          lane_busy_ns = busy;
-          lane_alloc_b = alloc;
-        })
-      t.domains
-  in
-  (* Sweep: +1 at each segment start, -1 at each end; ends sort before
-     starts at equal timestamps so touching segments don't spike. *)
-  let edges =
-    List.concat_map
-      (fun d ->
-        List.concat_map
-          (fun (s, e) -> [ (s, 1); (e, -1) ])
-          (segments_of d))
-      t.domains
-    |> List.sort (fun (ta, ka) (tb, kb) ->
-           match Int64.compare ta tb with 0 -> compare ka kb | c -> c)
-  in
-  let hist : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let note level ns =
-    if ns > 0 then
-      Hashtbl.replace hist level
-        (ns + Option.value ~default:0 (Hashtbl.find_opt hist level))
-  in
-  let level = ref 0 and cursor = ref t.t_min and max_level = ref 0 in
-  List.iter
-    (fun (time, k) ->
-      note !level (Int64.to_int (Int64.sub time !cursor));
-      cursor := time;
-      level := !level + k;
-      if !level > !max_level then max_level := !level)
-    edges;
-  note !level (Int64.to_int (Int64.sub t.t_max !cursor));
-  let busy_hist =
-    List.init (!max_level + 1) (fun k ->
-        (k, Option.value ~default:0 (Hashtbl.find_opt hist k)))
-  in
-  let lanes_n = List.length lanes in
-  let busy_total = List.fold_left (fun a l -> a + l.lane_busy_ns) 0 lanes in
-  let utilization =
-    if wall_ns = 0 || lanes_n = 0 then 0.
-    else float_of_int busy_total /. (float_of_int wall_ns *. float_of_int lanes_n)
-  in
-  let serial_ns =
-    List.fold_left
-      (fun a (k, ns) -> if k <= 1 then a + ns else a)
-      0 busy_hist
-  in
-  let serial_fraction =
-    if wall_ns = 0 then 1. else float_of_int serial_ns /. float_of_int wall_ns
-  in
-  {
-    tl_wall_ns = wall_ns;
-    tl_lanes = lanes;
-    tl_busy_hist = busy_hist;
-    tl_max_concurrency = !max_level;
-    tl_utilization = utilization;
-    tl_serial_fraction = serial_fraction;
-  }
+let critical_path t = critical_path_by dur_ns t
+let critical_path_alloc t = critical_path_by (fun s -> s.alloc_b) t
 
 (* ------------------------------------------------------------------ *)
 (* Folded stacks (flamegraph.pl / speedscope "collapsed" format):
@@ -511,15 +344,13 @@ let parse_folded text =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* JSON (schema slocal.profile/1; "domains" and "timeline" are
-   additive fields introduced with slocal.trace/2 inputs) *)
+(* JSON (schema slocal.profile/2) *)
 
 let rec span_to_json s : Json.t =
   Json.Obj
     [
       ("name", Json.String s.name);
       ("id", Json.Int s.id);
-      ("domain", Json.Int s.domain);
       ("t0_ns", Json.Int (Int64.to_int s.t0));
       ("dur_ns", Json.Int (dur_ns s));
       ("self_ns", Json.Int (self_ns s));
@@ -532,36 +363,6 @@ let rec span_to_json s : Json.t =
     ]
 
 let int_obj kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
-
-let timeline_to_json tl : Json.t =
-  Json.Obj
-    [
-      ("wall_ns", Json.Int tl.tl_wall_ns);
-      ( "lanes",
-        Json.List
-          (List.map
-             (fun l ->
-               Json.Obj
-                 [
-                   ("domain", Json.Int l.lane_domain);
-                   ("spans", Json.Int l.lane_spans);
-                   ("busy_ns", Json.Int l.lane_busy_ns);
-                   ("alloc_b", Json.Int l.lane_alloc_b);
-                 ])
-             tl.tl_lanes) );
-      ( "busy_hist",
-        Json.List
-          (List.map
-             (fun (k, ns) -> Json.List [ Json.Int k; Json.Int ns ])
-             tl.tl_busy_hist) );
-      ("max_concurrency", Json.Int tl.tl_max_concurrency);
-      (* Parts-per-million integers: the codec reparses integral
-         floats as ints, which would break document round-trips. *)
-      ( "utilization_ppm",
-        Json.Int (int_of_float ((1e6 *. tl.tl_utilization) +. 0.5)) );
-      ( "serial_fraction_ppm",
-        Json.Int (int_of_float ((1e6 *. tl.tl_serial_fraction) +. 0.5)) );
-    ]
 
 let to_json ~source t : Json.t =
   Json.Obj
@@ -576,9 +377,7 @@ let to_json ~source t : Json.t =
       ("unclosed_spans", Json.Int t.unclosed);
       ("wall_ns", Json.Int (total_wall_ns t));
       ("alloc_b", Json.Int (total_alloc_b t));
-      ("domains", Json.List (List.map (fun d -> Json.Int d) t.domains));
       ("requests", int_obj t.requests);
-      ("timeline", timeline_to_json (timeline t));
       ("tree", Json.List (List.map span_to_json t.roots));
       ( "totals",
         Json.List
@@ -604,7 +403,6 @@ let to_json ~source t : Json.t =
                Json.Obj
                  [
                    ("name", Json.String s.name);
-                   ("domain", Json.Int s.domain);
                    ("dur_ns", Json.Int (dur_ns s));
                    ("self_ns", Json.Int (self_ns s));
                    ("alloc_b", Json.Int s.alloc_b);
@@ -617,7 +415,6 @@ let to_json ~source t : Json.t =
                Json.Obj
                  [
                    ("name", Json.String s.name);
-                   ("domain", Json.Int s.domain);
                    ("alloc_b", Json.Int s.alloc_b);
                    ("self_alloc_b", Json.Int (self_alloc_b s));
                  ])
@@ -710,54 +507,11 @@ let pp_provenance fmt steps =
       Format.fprintf fmt "@.")
     steps
 
-let pp_timeline fmt t =
-  let tl = timeline t in
-  let pct part whole =
-    if whole <= 0 then 0. else 100. *. float_of_int part /. float_of_int whole
-  in
-  Format.fprintf fmt
-    "parallelism timeline: wall %a, %d domain lane(s), max concurrency %d@."
-    pp_ns tl.tl_wall_ns (List.length tl.tl_lanes) tl.tl_max_concurrency;
-  List.iter
-    (fun l ->
-      Format.fprintf fmt "  lane domain %-4d %6d span(s)  busy %10s  (%.1f%% of wall)@."
-        l.lane_domain l.lane_spans
-        (cell pp_ns l.lane_busy_ns)
-        (pct l.lane_busy_ns tl.tl_wall_ns))
-    tl.tl_lanes;
-  Format.fprintf fmt "  concurrent busy domains (time at each level):@.";
-  List.iter
-    (fun (k, ns) ->
-      Format.fprintf fmt "    %4d %10s  %5.1f%%@." k (cell pp_ns ns)
-        (pct ns tl.tl_wall_ns))
-    tl.tl_busy_hist;
-  Format.fprintf fmt
-    "  utilization %.1f%% of %d lane(s); serial fraction %.2f@."
-    (100. *. tl.tl_utilization)
-    (List.length tl.tl_lanes) tl.tl_serial_fraction;
-  List.iter
-    (fun l ->
-      match critical_path ~domain:l.lane_domain t with
-      | [] -> ()
-      | path ->
-          Format.fprintf fmt "  critical path (domain %d):@." l.lane_domain;
-          List.iteri
-            (fun depth s ->
-              Format.fprintf fmt "    %s%s %s (self %s)@."
-                (String.make (2 * depth) ' ')
-                s.name (cell pp_ns (dur_ns s))
-                (cell pp_ns (self_ns s)))
-            path)
-    tl.tl_lanes
-
 let pp ?(top = 10) fmt t =
   Format.fprintf fmt "profile: %d events (%d line(s) skipped), %d spans"
     t.event_count t.skipped_lines t.span_count;
   if t.unclosed > 0 then
     Format.fprintf fmt " (%d unclosed — truncated trace)" t.unclosed;
-  (match t.domains with
-  | [] | [ _ ] -> ()
-  | ds -> Format.fprintf fmt ", %d domains" (List.length ds));
   Format.fprintf fmt ", wall %a@." pp_ns (total_wall_ns t);
   (match t.messages with
   | [] -> ()
@@ -865,7 +619,7 @@ let pp_alloc ?(top = 10) fmt t =
           a.minor_total_n a.major_total_n
           (100. *. float_of_int a.self_alloc_total_b /. float_of_int denom))
     tot;
-  (match critical_path_alloc t with
+  match critical_path_alloc t with
   | [] -> ()
   | path ->
       Format.fprintf fmt "@.allocation critical path (heaviest child chain):@.";
@@ -876,25 +630,4 @@ let pp_alloc ?(top = 10) fmt t =
             s.name
             (cell pp_bytes s.alloc_b)
             (cell pp_bytes (self_alloc_b s)))
-        path);
-  let tl = timeline t in
-  match tl.tl_lanes with
-  | [] -> ()
-  | lanes ->
-      Format.fprintf fmt "@.allocation lanes (per domain):@.";
-      List.iter
-        (fun l ->
-          let rate_b_s =
-            if l.lane_busy_ns <= 0 then 0
-            else
-              int_of_float
-                (float_of_int l.lane_alloc_b
-                /. float_of_int l.lane_busy_ns *. 1e9)
-          in
-          Format.fprintf fmt
-            "  lane domain %-4d alloc %10s  busy %10s  rate %10s/s@."
-            l.lane_domain
-            (cell pp_bytes l.lane_alloc_b)
-            (cell pp_ns l.lane_busy_ns)
-            (cell pp_bytes rate_b_s))
-        lanes
+        path

@@ -1,52 +1,36 @@
-(** Trace analysis: parse an [slocal.trace/4] (or legacy [/3], [/2],
-    [/1]) JSONL trace back into a span tree and compute a profile — per-span
-    self vs. cumulative time {e and} self vs. cumulative allocation
-    (with per-span GC-work deltas), per-request filtering (the [/4]
-    [req] stamps written inside
+(** Trace analysis: parse an [slocal.trace/5] JSONL trace back into a
+    span tree and compute a profile — per-span self vs. cumulative
+    time {e and} self vs. cumulative allocation (with per-span GC-work
+    deltas), per-request filtering (the [req] stamps written inside
     {!Slocal_obs.Telemetry.with_request} windows — pass [?request] to
     {!of_file} to profile one daemon request), counter-delta
-    attribution,
-    time- and bytes-weighted critical paths, top-k hotspot tables, the
-    per-step provenance ("derivation log") table, folded stacks
-    (time- and bytes-weighted) for [flamegraph.pl]/speedscope, and the
-    multi-domain parallelism timeline (per-domain lanes with
-    allocation rates, concurrent-busy-domains histogram, utilization,
-    serial fraction).
+    attribution, time- and bytes-weighted critical paths, top-k
+    hotspot tables, the per-step provenance ("derivation log") table,
+    and folded stacks (time- and bytes-weighted) for
+    [flamegraph.pl]/speedscope.
 
     This is the read side of the observability stack: the CLI exposes
     it as [slocal trace report FILE] with human, [--alloc], [--json]
-    (schema [slocal.profile/1]), [--folded], [--folded-alloc], and
-    [--timeline] output.
+    (schema [slocal.profile/2]), [--folded] and [--folded-alloc]
+    output.
 
     Damaged input degrades gracefully: unparsable lines are skipped
     and counted ({!Slocal_obs.Trace}), and spans whose close event is
     missing (a process killed mid-run) are closed synthetically at the
-    trace's last timestamp and flagged.  Legacy [/1] traces parse with
-    every event on domain [0], so all the per-domain machinery
-    degrades to a single lane. *)
+    trace's last timestamp and flagged. *)
 
 val profile_schema_version : string
-(** ["slocal.profile/1"].  The ["domains"] and ["timeline"] fields of
-    the JSON document are additive (introduced with [slocal.trace/2]
-    inputs), as are the allocation fields (["alloc_b"] on the
-    document, ["self_alloc_b"]/["minor_n"]/["major_n"] on tree and
-    totals rows, ["critical_path_alloc"], ["folded_alloc"], lane
-    ["alloc_b"] — introduced with [slocal.trace/3] inputs); consumers
-    of older documents ignore them. *)
+(** ["slocal.profile/2"]: /1 without the ["domains"] and ["timeline"]
+    fields and the per-span ["domain"] ids. *)
 
 type span = {
   id : int;
   name : string;
-  domain : int;  (** Runtime domain id that recorded the span. *)
   t0 : int64;
   mutable t1 : int64;
   mutable alloc_b : int;  (** Cumulative bytes allocated in the span. *)
-  mutable minor_n : int;
-      (** Minor collections during the span ([/3]; [0] on older
-          traces). *)
-  mutable major_n : int;
-      (** Major collections during the span ([/3]; [0] on older
-          traces). *)
+  mutable minor_n : int;  (** Minor collections during the span. *)
+  mutable major_n : int;  (** Major collections during the span. *)
   mutable closed : bool;  (** [false]: close synthesized at EOF. *)
   mutable children : span list;
 }
@@ -67,20 +51,17 @@ type t = {
   schema : string option;
   requests : (string * int) list;
       (** Per-request event tally of the whole trace file — the
-          [slocal.trace/4] [req] stamps in first-seen order, even when
-          the profile itself was filtered with [?request].  [[]] for
-          older traces and for {!of_events} input. *)
-  domains : int list;
-      (** Distinct domain ids that recorded span events, ascending.
-          [[0]] (or [[]]) for a sequential or legacy trace. *)
+          [req] stamps in first-seen order, even when the profile
+          itself was filtered with [?request].  [[]] for {!of_events}
+          input. *)
   t_min : int64;
   t_max : int64;
   messages : (int64 * string) list;
   final_counters : (string * int) list;
   attribution : (string * (string * int) list) list;
       (** Counter deltas between consecutive [counters] snapshots,
-          charged to the span that was innermost-open {e on the
-          snapshot's own domain} at the later snapshot
+          charged to the span that was innermost-open at the later
+          snapshot
           (["(toplevel)"] outside all spans) and summed per span
           name.  The trace carries no metric kinds, so gauges
           subtract like counters here; the unmodified final snapshot
@@ -90,9 +71,6 @@ type t = {
 }
 
 val of_events : ?skipped:int -> Slocal_obs.Telemetry.event list -> t
-(** Span nesting is tracked with one open stack per domain, so
-    interleaved events from concurrent workers reconstruct each
-    domain's own span tree. *)
 
 val of_read_result : Slocal_obs.Trace.read_result -> t
 
@@ -119,9 +97,7 @@ val self_alloc_b : span -> int
     cumulative bytes. *)
 
 val total_wall_ns : t -> int
-(** Sum of the root spans' cumulative times.  On a multi-domain trace
-    concurrent roots overlap, so this is domain-time, not elapsed
-    time; see {!timeline} for the elapsed window. *)
+(** Sum of the root spans' cumulative times. *)
 
 val total_self_ns : t -> int
 (** Sum of every span's self time; equals {!total_wall_ns} on
@@ -149,56 +125,18 @@ type total = {
   max_ns : int;
 }
 
-val totals : ?domain:int -> t -> total list
-(** Per-span-name aggregates, descending by total self time,
-    optionally restricted to one domain's spans.  Note [cum_ns]
+val totals : t -> total list
+(** Per-span-name aggregates, descending by total self time.  Note [cum_ns]
     double-counts recursive occurrences of a name; self times are
     always disjoint. *)
 
-val critical_path : ?domain:int -> t -> span list
+val critical_path : t -> span list
 (** Root-to-leaf chain following the heaviest child at each level,
-    starting from the heaviest root (of the given domain, when
-    [domain] is passed); [[]] for an empty trace. *)
+    starting from the heaviest root; [[]] for an empty trace. *)
 
-val critical_path_alloc : ?domain:int -> t -> span list
+val critical_path_alloc : t -> span list
 (** Same descent weighted by cumulative bytes instead of time: the
     chain a byte most likely came from. *)
-
-(** {1 Parallelism timeline} *)
-
-type lane = {
-  lane_domain : int;
-  lane_spans : int;  (** Spans recorded by this domain. *)
-  lane_busy_ns : int;
-      (** Time this domain had at least one root span open (union of
-          its root-span intervals). *)
-  lane_alloc_b : int;
-      (** Cumulative bytes of this domain's root spans — divide by
-          [lane_busy_ns] for the lane's allocation rate. *)
-}
-
-type timeline = {
-  tl_wall_ns : int;
-      (** Elapsed trace window ([t_max - t_min]), the denominator for
-          utilization. *)
-  tl_lanes : lane list;  (** One per domain with spans, ascending. *)
-  tl_busy_hist : (int * int) list;
-      (** [(k, ns)]: time during which exactly [k] domains were busy,
-          for every level [0..max]. *)
-  tl_max_concurrency : int;
-  tl_utilization : float;
-      (** Busy domain-time over [wall × lanes], in [0, 1]. *)
-  tl_serial_fraction : float;
-      (** Fraction of the window with at most one busy domain — an
-          Amdahl-style serial-part estimate. *)
-}
-
-val timeline : t -> timeline
-
-val pp_timeline : Format.formatter -> t -> unit
-(** The [--timeline] report: window summary, per-domain lanes,
-    concurrent-busy-domains histogram, utilization and serial
-    fraction, and each lane's critical path. *)
 
 (** {1 Folded stacks} *)
 
@@ -222,10 +160,7 @@ val parse_folded : string -> (string * int) list
 (** {1 Rendering} *)
 
 val to_json : source:string -> t -> Slocal_obs.Json.t
-(** The [slocal.profile/1] document (see DESIGN.md §6), including the
-    additive ["domains"] and ["timeline"] fields (fractions as
-    parts-per-million integers, so the document stays exact under a
-    JSON round-trip). *)
+(** The [slocal.profile/2] document (see DESIGN.md §6). *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** The human report: summary line, hotspot table (top [top] rows,
@@ -236,5 +171,4 @@ val pp_alloc : ?top:int -> Format.formatter -> t -> unit
 (** The [--alloc] report: total-allocation summary with the
     Σself-alloc = root-cumulative check line, self/cumulative
     allocation hotspot table (by self bytes, with per-name GC-work
-    counts), allocation-weighted critical path, and per-domain
-    allocation-rate lanes. *)
+    counts) and allocation-weighted critical path. *)

@@ -5,7 +5,6 @@ module Bitset = Slocal_util.Bitset
 module Combinat = Slocal_util.Combinat
 module Multiset = Slocal_util.Multiset
 module Telemetry = Slocal_obs.Telemetry
-module Pool = Slocal_obs.Pool
 
 let biregular_arities support =
   let whites = Bipartite.whites support and blacks = Bipartite.blacks support in
@@ -42,12 +41,7 @@ let solvable_non_bipartite ?max_nodes h problem =
   Solver.solvable ?max_nodes (Hypergraph.incidence h) l.Lift.problem
 
 (* ------------------------------------------------------------------ *)
-(* Batch decision over independent instances — the pilot parallel
-   workload.  Each problem (with its on-demand constraint memo tables)
-   belongs to exactly one task, and the support graph is immutable, so
-   the tasks share no mutable state and a pool fan-out is safe; the
-   pool writes results into index-addressed slots, making the output
-   byte-identical to the sequential [jobs = 1] run. *)
+(* The two-label sweep space *)
 
 let two_label_problems () =
   (* The 49-problem two-label sweep space: every pair of nonempty
@@ -70,30 +64,6 @@ let two_label_problems () =
             ~black:(Constr.make ~arity:2 b))
         nonempty_subsets)
     nonempty_subsets
-
-let solvable_batch ?(jobs = 1) ?max_nodes support problems =
-  Telemetry.span "zero_round.solvable_batch" @@ fun () ->
-  Pool.map ~jobs (fun p -> solvable ?max_nodes support p) problems
-
-let search_batch ?(jobs = 1) ?max_assignments support problems =
-  Telemetry.span "zero_round.search_batch" @@ fun () ->
-  Pool.map ~jobs
-    (fun p ->
-      Zero_round_search.exists_algorithm ?max_assignments support p
-        ~d_in_white:(Problem.d_white p) ~d_in_black:(Problem.d_black p))
-    problems
-
-let decide_batch ?(jobs = 1) ?max_nodes ?max_assignments support problems =
-  Telemetry.span "zero_round.decide_batch" @@ fun () ->
-  Pool.map ~jobs
-    (fun p ->
-      let via_lift = solvable ?max_nodes support p in
-      let via_search =
-        Zero_round_search.exists_algorithm ?max_assignments support p
-          ~d_in_white:(Problem.d_white p) ~d_in_black:(Problem.d_black p)
-      in
-      (via_lift, via_search))
-    problems
 
 (* A choice of one base label per edge whose multiset lies in the white
    constraint, if any. *)

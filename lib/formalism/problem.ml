@@ -101,7 +101,46 @@ let parse_items alphabet tokens =
   in
   items [] tokens
 
+(* Caps on one condensed line, checked before anything is expanded: a
+   line like [M^100000000] or [[A B]^40] would otherwise allocate
+   without bound.  [max_config_size] bounds the exponent sum (the size
+   of every configuration the line generates); [max_line_configs]
+   bounds the number of configurations the line expands to, counted
+   with multiplicity (the product of [|alternatives|^k]). *)
+let max_config_size = 256
+let max_line_configs = 1_000_000
+
+let check_caps items =
+  let size =
+    List.fold_left
+      (fun acc (_, k) -> if k > max_int - acc then max_int else acc + k)
+      0 items
+  in
+  if size > max_config_size then
+    invalid_arg
+      (Printf.sprintf
+         "Problem.parse: configuration size %d exceeds max_config_size = %d"
+         size max_config_size);
+  (* Saturating product: stop multiplying once the cap is passed. *)
+  let count =
+    List.fold_left
+      (fun acc (alts, k) ->
+        let n = List.length alts in
+        let rec pow acc k =
+          if k = 0 || acc > max_line_configs then acc else pow (acc * n) (k - 1)
+        in
+        pow acc k)
+      1 items
+  in
+  if count > max_line_configs then
+    invalid_arg
+      (Printf.sprintf
+         "Problem.parse: line expands to more than max_line_configs = %d \
+          configurations"
+         max_line_configs)
+
 let expand_items_multi items =
+  check_caps items;
   let positions =
     List.concat_map (fun (alts, k) -> List.init k (fun _ -> alts)) items
   in

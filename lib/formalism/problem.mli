@@ -36,9 +36,20 @@ val make : name:string -> alphabet:Alphabet.t -> white:Constr.t -> black:Constr.
 val d_white : t -> int
 val d_black : t -> int
 
+val max_config_size : int
+(** [256]: the largest exponent sum (configuration size) one condensed
+    line may have. *)
+
+val max_line_configs : int
+(** [1_000_000]: the most configurations one condensed line may expand
+    to, counted with multiplicity. *)
+
 val parse : name:string -> labels:string list -> white:string -> black:string -> t
 (** Build a problem from the condensed textual syntax described above.
-    @raise Invalid_argument on syntax errors or unknown labels. *)
+    Each line is checked against {!max_config_size} and
+    {!max_line_configs} before it is expanded.
+    @raise Invalid_argument on syntax errors, unknown labels, or a line
+    over one of the two caps (the message names the cap). *)
 
 val parse_configs : Alphabet.t -> string -> Slocal_util.Multiset.t list
 (** Parse a constraint in the condensed syntax, expanding condensed

@@ -2,7 +2,6 @@ module Bitset = Slocal_util.Bitset
 module Multiset = Slocal_util.Multiset
 module Config_key = Slocal_util.Config_key
 module Telemetry = Slocal_obs.Telemetry
-module Pool = Slocal_obs.Pool
 
 type grounding = {
   problem : Problem.t;
@@ -93,22 +92,8 @@ let match_up_subset a b =
 
    Visited configurations count into [re.enum_nodes] — the same
    budget the bottom-up enumeration used — so kernel comparisons are
-   apples-to-apples.
-
-   With [jobs > 1] the descent runs as a breadth-first wave sweep:
-   the coordinator keeps the [visited] dedup table and the [shrink]
-   memo to itself, and fans each wave's [violating_choice]
-   evaluations — the expensive part, all memoized constraint
-   queries — out over the pool as independent tasks with
-   index-addressed result slots.  The visited closure is the same set
-   as the depth-first walk's (the expansion rule per node is
-   identical and the closure is order-independent), so
-   [re.enum_nodes] is exact; the constraint memo totals are exact
-   because {!Constr} holds its memo lock across lookup+compute+store
-   while a pool region is open; and the final
-   cardinality-sweep-plus-sort below is order-independent, so the
-   output is byte-identical to [jobs = 1]. *)
-let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
+   apples-to-apples. *)
+let maximal_good_configs ~candidates ~arity constr =
   let cands = Array.of_list candidates in
   let k = Array.length cands in
   if k = 0 then []
@@ -199,8 +184,7 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
     let nodes = ref 0 in
     (* Children of a non-good cfg under a violating witness: for each
        witness position, the replacements of that position by a
-       ⊆-maximal candidate subset excluding the witness label.
-       Shared by the depth-first walk and the wave sweep. *)
+       ⊆-maximal candidate subset excluding the witness label. *)
     let children cfg witness =
       let positions = Multiset.to_list cfg in
       List.concat_map
@@ -211,7 +195,7 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
         witness
     in
     (* First visit of a config: dedup through [visited], count the
-       node.  Coordinator-only state in both modes. *)
+       node. *)
     let first_visit cfg =
       let kk = key cfg in
       if Config_key.Tbl.mem visited kk then false
@@ -241,31 +225,7 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
         done
     in
     top_configs 0 [] 0;
-    if jobs <= 1 then List.iter visit (List.rev !top_list)
-    else begin
-      (* Wave sweep: the coordinator dedups and expands, the pool
-         evaluates each wave's violating choices in parallel.  The
-         union of the waves is exactly the depth-first closure. *)
-      let wave = ref (List.filter first_visit (List.rev !top_list)) in
-      while !wave <> [] do
-        let arr = Array.of_list !wave in
-        let verdicts =
-          Pool.run ~jobs (Array.length arr) (fun i -> violating_choice arr.(i))
-        in
-        let next = ref [] in
-        Array.iteri
-          (fun i verdict ->
-            match verdict with
-            | None -> frontier := arr.(i) :: !frontier
-            | Some witness ->
-                List.iter
-                  (fun child ->
-                    if first_visit child then next := child :: !next)
-                  (children arr.(i) witness))
-          verdicts;
-        wave := List.rev !next
-      done
-    end;
+    List.iter visit (List.rev !top_list);
     Telemetry.add c_enum_nodes !nodes;
     let card = Array.map Bitset.cardinal cands in
     let total cfg =
@@ -308,7 +268,7 @@ let set_name alphabet s =
 (* Core of R: maximality on [strong] side, existence on [weak] side.
    [strong_constr] keeps its arity; new labels are the sets appearing
    in the maximal good configurations. *)
-let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
+let r_core ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.span "re.step" @@ fun () ->
   Telemetry.incr c_steps;
   let diagram =
@@ -318,7 +278,7 @@ let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
      configuration is dominated by its position-wise right closure). *)
   let candidates = Diagram.right_closed_sets diagram in
   let strong_configs =
-    maximal_good_configs ~jobs ~candidates ~arity:(Constr.arity strong_constr)
+    maximal_good_configs ~candidates ~arity:(Constr.arity strong_constr)
       strong_constr
   in
   if strong_configs = [] then
@@ -355,32 +315,32 @@ let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.set g_weak_configs (List.length weak_configs);
   (name, alphabet', strong', weak', meaning)
 
-let r_black_fast ?(jobs = 1) (p : Problem.t) =
+let r_black_fast (p : Problem.t) =
   let name, alphabet, black, white, meaning =
-    r_core ~jobs ~name:("R(" ^ p.Problem.name ^ ")")
+    r_core ~name:("R(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.black
       ~weak_constr:p.Problem.white
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
-let r_white_fast ?(jobs = 1) (p : Problem.t) =
+let r_white_fast (p : Problem.t) =
   let name, alphabet, white, black, meaning =
-    r_core ~jobs ~name:("R̄(" ^ p.Problem.name ^ ")")
+    r_core ~name:("R̄(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.white
       ~weak_constr:p.Problem.black
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
-let r_black ?(jobs = 1) p =
+let r_black p =
   match !kernel with
-  | Fast -> r_black_fast ~jobs p
+  | Fast -> r_black_fast p
   | Reference ->
       let problem, meaning = Re_reference.r_black p in
       { problem; meaning }
 
-let r_white ?(jobs = 1) p =
+let r_white p =
   match !kernel with
-  | Fast -> r_white_fast ~jobs p
+  | Fast -> r_white_fast p
   | Reference ->
       let problem, meaning = Re_reference.r_white p in
       { problem; meaning }
@@ -395,81 +355,46 @@ let r_white ?(jobs = 1) p =
    independent of the input problem's own name; the RE(...) name is
    re-applied per call. *)
 
-(* staticcheck: shared-cache-needs-lock cross-invocation RE memo; every access holds result_cache_mu *)
+(* staticcheck: shared-cache-needs-lock cross-invocation RE memo; bounded by max_result_cache_entries *)
 let result_cache : (int, (Problem.t * Problem.t) list) Hashtbl.t =
   Hashtbl.create 64
 
-let result_cache_entries = ref 0 (* staticcheck: shared-cache-needs-lock occupancy count paired with result_cache; same lock *)
+let result_cache_entries = ref 0 (* staticcheck: shared-cache-needs-lock occupancy count paired with result_cache *)
 let max_result_cache_entries = 512
 
-(* Guards [result_cache]/[result_cache_entries]: [re] is legal from
-   inside pool tasks (a batch of REs over a problem pool), and those
-   tasks share this one process-wide table.  The lock is never held
-   across an RE computation — only across lookup and insertion — so
-   two tasks missing on the same problem may both compute it (a
-   benign duplicate; both count a miss, last insertion wins). *)
-let result_cache_mu = Mutex.create () (* staticcheck: domain-safe result-cache lock; taken around every result_cache access *)
-
-let locked f =
-  Mutex.lock result_cache_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock result_cache_mu) f
-
-(* Internal eviction (cache full): drops the entries but keeps the
-   hit/miss counters accumulating, so mid-run evictions do not hide
-   traffic from hit-rate numbers. *)
+(* Drops the entries; the hit/miss counters keep accumulating, so a
+   cache-full eviction does not hide traffic from hit-rate numbers. *)
 let evict_all () =
-  locked @@ fun () ->
   Hashtbl.reset result_cache;
   result_cache_entries := 0
 
 let clear_cache () =
   evict_all ();
   (* An explicit clear starts a fresh measurement window: hit-rate
-     numbers after it must not be polluted by pre-clear traffic.  The
-     counters may have accumulated in worker shards (REs run inside
-     pool tasks), so the reset must zero every shard — a plain
-     [Telemetry.set _ 0] would leave the workers' contributions
-     standing and send post-clear delta windows negative. *)
-  Telemetry.zero c_cache_hits;
-  Telemetry.zero c_cache_misses
+     numbers after it must not be polluted by pre-clear traffic. *)
+  Telemetry.set c_cache_hits 0;
+  Telemetry.set c_cache_misses 0
 
-let re_fast ?jobs p =
-  let step1 = r_black_fast ?jobs p in
-  let step2 = r_white_fast ?jobs step1.problem in
-  step2.problem
+let re_fast p = (r_white_fast (r_black_fast p).problem).problem
 
-let re ?(cache = true) ?jobs p =
+let re ?(cache = true) p =
   let renamed result = Problem.rename result ("RE(" ^ p.Problem.name ^ ")") in
   match !kernel with
   | Reference -> Re_reference.re p
-  | Fast when not cache -> renamed (re_fast ?jobs p)
-  | Fast ->
+  | Fast when not cache -> renamed (re_fast p)
+  | Fast -> (
       let h = Problem.canonical_hash p in
-      let hit =
-        locked @@ fun () ->
-        let bucket =
-          Option.value (Hashtbl.find_opt result_cache h) ~default:[]
-        in
-        let hit = List.find_opt (fun (q, _) -> Problem.equal q p) bucket in
-        (match hit with
-        | Some _ -> Telemetry.incr c_cache_hits
-        | None -> Telemetry.incr c_cache_misses);
-        hit
-      in
-      (match hit with
-      | Some (_, result) -> renamed result
+      let bucket () = Option.value (Hashtbl.find_opt result_cache h) ~default:[] in
+      match List.find_opt (fun (q, _) -> Problem.equal q p) (bucket ()) with
+      | Some (_, result) ->
+          Telemetry.incr c_cache_hits;
+          renamed result
       | None ->
-          let result = re_fast ?jobs p in
-          (locked @@ fun () ->
-           if !result_cache_entries >= max_result_cache_entries then begin
-             Hashtbl.reset result_cache;
-             result_cache_entries := 0
-           end;
-           let bucket =
-             Option.value (Hashtbl.find_opt result_cache h) ~default:[]
-           in
-           Hashtbl.replace result_cache h ((p, result) :: bucket);
-           incr result_cache_entries);
+          Telemetry.incr c_cache_misses;
+          let result = re_fast p in
+          if !result_cache_entries >= max_result_cache_entries then evict_all ();
+          Hashtbl.replace result_cache h ((p, result) :: bucket ());
+          incr result_cache_entries;
           renamed result)
 
 let is_fixed_point p = Problem.equal_up_to_renaming (re p) p

@@ -46,26 +46,21 @@ val set_kernel : kernel -> unit
 
 val current_kernel : unit -> kernel
 
-val r_black : ?jobs:int -> Problem.t -> grounding
+val r_black : Problem.t -> grounding
 (** The operator [R]: maximality on the black side, existence on the
-    white side.  [jobs > 1] fans the fast kernel's lattice descent
-    out over an {!Slocal_obs.Pool} (see {!maximal_good_configs});
-    output and counter totals are identical to [jobs = 1].  The
-    reference kernel ignores [jobs]. *)
+    white side. *)
 
-val r_white : ?jobs:int -> Problem.t -> grounding
+val r_white : Problem.t -> grounding
 (** The operator [R̄]: maximality on the white side, existence on the
-    black side.  [jobs] as in {!r_black}. *)
+    black side. *)
 
-val re : ?cache:bool -> ?jobs:int -> Problem.t -> Problem.t
+val re : ?cache:bool -> Problem.t -> Problem.t
 (** [RE(Π) = R̄(R(Π))], with fresh atomic labels.  With the fast
     kernel, results are cached across invocations (hits require
     structural {!Problem.equal}; buckets use
     {!Problem.canonical_hash}; [re.cache_hits]/[re.cache_misses]
     count both outcomes).  Pass [~cache:false] to force a full
-    recomputation (benchmarks).  [jobs > 1] parallelizes the two
-    lattice descents (fast kernel only) with byte-identical output
-    and exact counter totals — DESIGN.md §9. *)
+    recomputation (benchmarks). *)
 
 val is_fixed_point : Problem.t -> bool
 (** Is [RE(Π)] equal to [Π] up to label renaming?  (E.g. Lemma 5.4:
@@ -95,7 +90,6 @@ val set_name : Alphabet.t -> Slocal_util.Bitset.t -> string
     member names, ⟨a,b,…⟩ otherwise). *)
 
 val maximal_good_configs :
-  ?jobs:int ->
   candidates:Slocal_util.Bitset.t list ->
   arity:int ->
   Constr.t ->
@@ -105,8 +99,4 @@ val maximal_good_configs :
     constraint — computed by the fast top-down lattice search
     regardless of {!set_kernel} (the reference implementation lives in
     {!Re_reference.maximal_good_configs}).  Visited lattice nodes
-    count into [re.enum_nodes].  [jobs > 1] (default 1) evaluates the
-    per-configuration violating-choice tests wave by wave over an
-    {!Slocal_obs.Pool}: the visited closure, the output and the
-    [re.enum_nodes]/[constr.memo_*] totals are identical to the
-    sequential descent (DESIGN.md §9). *)
+    count into [re.enum_nodes]. *)

@@ -37,7 +37,7 @@ type record = {
   histograms : (string * hist_summary) list;
   artifacts : (string * string) list;
   alloc_b : int;
-      (* bytes allocated on the recording domain over the run;
+      (* bytes allocated over the run;
          additive slocal.run/1 field, 0 on records from older writers *)
   majors : int;  (* major collections over the run; additive, 0 *)
   top_heap_words : int;  (* peak heap at finish; additive, 0 *)
@@ -257,7 +257,7 @@ let read_channel ic =
          | Error _ -> incr skipped
          | Ok j -> (
              (* A well-formed record of some *other* schema (a
-                slocal.request/1 line in a shared ledger, a future
+                slocal.request/2 line in a shared ledger, a future
                 slocal.run/2) is foreign, not damaged: newer writers
                 must not make older readers report corruption. *)
              match Option.bind (Json.member "schema" j) Json.as_string with
@@ -336,19 +336,18 @@ let gc ~path ~keep =
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 (* ------------------------------------------------------------------ *)
-(* Per-request ledger records (schema slocal.request/1).  One line per
+(* Per-request ledger records (schema slocal.request/2).  One line per
    daemon request, appended to the same kind of JSONL file as run
    records — possibly the *same* file, which is why the run reader
    above counts unknown schemas as foreign instead of damaged. *)
 
-let request_schema_version = "slocal.request/1"
+let request_schema_version = "slocal.request/2"
 
 type request_record = {
   rr_id : string;
   rr_op : string;
   rr_problems : (string * int) list;
   rr_kernel : string option;
-  rr_jobs : int;
   rr_wall_ns : int;
   rr_alloc_b : int;
   rr_cache_hits : int;
@@ -366,7 +365,6 @@ let request_to_json r : Json.t =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.rr_problems) );
       ( "kernel",
         match r.rr_kernel with None -> Json.Null | Some k -> Json.String k );
-      ("jobs", Json.Int r.rr_jobs);
       ("wall_ns", Json.Int r.rr_wall_ns);
       ("alloc_b", Json.Int r.rr_alloc_b);
       ("cache_hits", Json.Int r.rr_cache_hits);
@@ -398,7 +396,6 @@ let request_of_json j : (request_record, string) result =
         rr_op;
         rr_problems;
         rr_kernel;
-        rr_jobs = opt_int "jobs";
         rr_wall_ns = opt_int "wall_ns";
         rr_alloc_b = opt_int "alloc_b";
         rr_cache_hits = opt_int "cache_hits";
@@ -452,7 +449,7 @@ let read_requests_file path =
    context.  Appending is best-effort: a read-only working directory
    must never fail the run itself. *)
 
-(* staticcheck: per-call one ledger record per CLI invocation; owned by the coordinating domain *)
+(* staticcheck: per-call one ledger record per CLI invocation *)
 type ctx = {
   c_id : string;
   c_argv : string list;

@@ -42,7 +42,7 @@ type record = {
   artifacts : (string * string) list;
       (** [(kind, path)]: trace, profile, openmetrics, bench JSON. *)
   alloc_b : int;
-      (** Bytes allocated on the recording domain over the run
+      (** Bytes allocated over the run
           ([Gc.allocated_bytes] delta).  Additive [slocal.run/1]
           field: [0] on records written before it existed. *)
   majors : int;
@@ -76,7 +76,7 @@ type read_result = {
                       [slocal.run/1] records. *)
   foreign : int;
       (** Well-formed JSON lines whose [schema] field names another
-          schema ([slocal.request/1] records in a shared ledger, a
+          schema ([slocal.request/2] records in a shared ledger, a
           future [slocal.run/2]) — tolerated, counted, never treated
           as corruption. *)
 }
@@ -104,15 +104,15 @@ val gc : path:string -> keep:int -> (int * int, string) result
     run-ledger compactor; keep request records in their own file if
     they must survive it).  Returns [(kept, dropped)]. *)
 
-(** {1 Per-request records (schema [slocal.request/1])}
+(** {1 Per-request records (schema [slocal.request/2])}
 
     The [slocal serve] daemon appends one record per request: id, op,
-    the problems it touched (canonical hashes), kernel and job width,
+    the problems it touched (canonical hashes), kernel,
     wall/allocation cost and the RE-cache hit/miss delta — the
     durable per-request companion of the per-run manifest above. *)
 
 val request_schema_version : string
-(** ["slocal.request/1"]. *)
+(** ["slocal.request/2"]: /1 without the [jobs] field. *)
 
 type request_record = {
   rr_id : string;  (** Request id (unique within a daemon run). *)
@@ -121,10 +121,9 @@ type request_record = {
       (** [(name, canonical hash)] of every problem the request
           parsed. *)
   rr_kernel : string option;  (** Kernel mode the request ran under. *)
-  rr_jobs : int;  (** Worker width ([0] when the op never parallelizes). *)
   rr_wall_ns : int;
   rr_alloc_b : int;
-      (** Coordinating-domain allocation over the request window. *)
+      (** Allocation over the request window. *)
   rr_cache_hits : int;  (** [re.cache_hits] delta over the window. *)
   rr_cache_misses : int;  (** [re.cache_misses] delta over the window. *)
   rr_outcome : string;  (** ["ok"] or ["error"]. *)
@@ -138,7 +137,7 @@ val append_request : path:string -> request_record -> (unit, string) result
     crash-tolerance contract as {!append}). *)
 
 val read_requests_file : string -> request_record list * int
-(** All [slocal.request/1] records of a JSONL file in order, plus the
+(** All [slocal.request/2] records of a JSONL file in order, plus the
     count of non-blank lines that are damaged or of another schema
     (run records in a shared file land in the skip count here, the
     mirror image of [foreign] above).

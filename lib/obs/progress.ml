@@ -8,11 +8,9 @@
    library default) never emits, so instrumented kernels running under
    tests or the bench harness stay silent.
 
-   Under domains, every would-be heartbeat races on one atomic
-   last-emit timestamp: the CAS winner emits its line with a single
-   [output_string] (whole-line, so concurrent winners from later
-   windows never interleave partial lines) and every loser bumps the
-   [progress.dropped] counter instead. *)
+   Every would-be heartbeat throttles through one last-emit timestamp:
+   a tick inside the current interval bumps the [progress.dropped]
+   counter instead of emitting. *)
 
 type mode = Off | Auto | Forced
 
@@ -39,19 +37,19 @@ let set_interval_ns ns = interval_ns := ns
 let heartbeat_count () = Telemetry.value heartbeats
 let dropped_count () = Telemetry.value dropped
 
-(* The single atomic last-emit timestamp: all heartbeat sources
-   (phase ticks and solver ticks, from any domain) throttle through
-   it.  0L means "emit immediately" (fresh phase). *)
-let last_emit : int64 Atomic.t = Atomic.make 0L (* staticcheck: domain-safe single CAS-guarded throttle cell *)
+(* The single last-emit timestamp: all heartbeat sources (phase ticks
+   and solver ticks) throttle through it.  0L means "emit immediately"
+   (fresh phase). *)
+let last_emit = ref 0L (* staticcheck: per-call throttle cell of the one heartbeat stream *)
 
-(* [true] for exactly one caller per interval window: losers (too
-   early, or beaten to the CAS) count a dropped tick. *)
+(* [true] for at most one tick per interval window; a tick that comes
+   too early counts as dropped. *)
 let claim_emit t =
-  let last = Atomic.get last_emit in
-  if
-    (last = 0L || Int64.compare (Int64.sub t last) !interval_ns >= 0)
-    && Atomic.compare_and_set last_emit last t
-  then true
+  let last = !last_emit in
+  if last = 0L || Int64.compare (Int64.sub t last) !interval_ns >= 0 then begin
+    last_emit := t;
+    true
+  end
   else begin
     Telemetry.incr dropped;
     false
@@ -60,8 +58,6 @@ let claim_emit t =
 let emit_line line =
   Telemetry.incr heartbeats;
   (try
-     (* One whole-line write: out_channel operations are atomic per
-        call under OCaml 5, so lines never interleave partially. *)
      output_string !out ("[progress] " ^ line ^ "\n");
      flush !out
    with Sys_error _ -> ())
@@ -75,11 +71,9 @@ let pp_secs s =
 
 (* ------------------------------------------------------------------ *)
 (* Phase progress: an explicit start/tick/finish protocol used by
-   [Sequence.iterate_re], with an ETA from the target-length budget.
-   Phases are driven from the coordinating domain; worker ticks only
-   race on [last_emit]. *)
+   [Sequence.iterate_re], with an ETA from the target-length budget. *)
 
-let ph_label = ref "" (* staticcheck: per-call one phase display active at a time; keep on the coordinating domain *)
+let ph_label = ref "" (* staticcheck: per-call one phase display active at a time *)
 let ph_total = ref None (* staticcheck: per-call one phase display active at a time *)
 let ph_t0 = ref 0L (* staticcheck: per-call one phase display active at a time *)
 let ph_started = ref false (* staticcheck: per-call one phase display active at a time *)
@@ -90,7 +84,7 @@ let start ?total label =
     ph_total := total;
     ph_t0 := Telemetry.now_ns ();
     (* A fresh phase emits its first tick immediately. *)
-    Atomic.set last_emit 0L;
+    last_emit := 0L;
     ph_started := true
   end
 
@@ -124,18 +118,15 @@ let finish () = ph_started := false
 (* ------------------------------------------------------------------ *)
 (* Solver heartbeat: called from the search hot loop with the
    cumulative node count of the current solve.  The nodes/s rate
-   needs a previous (nodes, t) observation; that pair is domain-local
-   (each domain observes its own solves), while emission rights still
-   go through the shared [last_emit] throttle.  A node count below
-   the last one means a new solve began on that domain. *)
+   needs a previous (nodes, t) observation; emission rights go through
+   the shared [last_emit] throttle.  A node count below the last one
+   means a new solve began. *)
 
-(* staticcheck: domain-safe per-domain solver-tick state; DLS, never shared *)
-let sv_key : (int ref * int64 ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref 0, ref 0L))
+let sv_nodes = ref 0 (* staticcheck: per-call node count of the last solver observation *)
+let sv_t = ref 0L (* staticcheck: per-call time of the last solver observation *)
 
 let solver_tick ~nodes =
   if is_active () then begin
-    let sv_nodes, sv_t = Domain.DLS.get sv_key in
     let t = Telemetry.now_ns () in
     if !sv_t = 0L || nodes < !sv_nodes then begin
       sv_t := t;
@@ -147,8 +138,7 @@ let solver_tick ~nodes =
         let rate = float_of_int (nodes - !sv_nodes) /. dt in
         emit_line (Printf.sprintf "solver %d nodes (%.0f nodes/s)" nodes rate)
       end;
-      (* Start a fresh rate window whether or not this domain won the
-         emission race, so a losing domain's next rate stays local. *)
+      (* Start a fresh rate window whether or not this tick emitted. *)
       sv_t := t;
       sv_nodes := nodes
     end
@@ -156,7 +146,6 @@ let solver_tick ~nodes =
 
 let reset () =
   ph_started := false;
-  Atomic.set last_emit 0L;
-  let sv_nodes, sv_t = Domain.DLS.get sv_key in
+  last_emit := 0L;
   sv_nodes := 0;
   sv_t := 0L

@@ -8,9 +8,7 @@
     subcommands), [Forced] for the [--progress] flag, which emits even
     when redirected (CI smoke, piped runs).
 
-    Safe under domains: all heartbeat sources throttle through one
-    atomic last-emit timestamp, the CAS winner writes its whole line
-    with a single channel operation (no interleaved partial lines),
+    All heartbeat sources throttle through one last-emit timestamp,
     and every suppressed tick counts into [progress.dropped]. *)
 
 type mode =
@@ -31,9 +29,7 @@ val set_interval_ns : int64 -> unit
 
 val start : ?total:int -> string -> unit
 (** Begin a labelled phase (e.g. [sequence.iterate_re]); [total] is
-    the step budget used for the ETA.  No-op when inactive.  Phases
-    are a coordinating-domain protocol: call {!start}/{!finish} from
-    one domain. *)
+    the step budget used for the ETA.  No-op when inactive. *)
 
 val tick : ?step:int -> ?info:string -> unit -> unit
 (** Heartbeat from inside the phase: step index (1-based, for the
@@ -47,17 +43,16 @@ val finish : unit -> unit
 
 val solver_tick : nodes:int -> unit
 (** Heartbeat from the solver's search loop with the cumulative node
-    count of the current solve; emits a nodes/s rate line.  Rate
-    state is domain-local (concurrent solves each report their own
-    nodes/s); emission rights go through the shared throttle.  A node
-    count lower than the previous one is treated as a new solve. *)
+    count of the current solve; emits a nodes/s rate line through the
+    shared throttle.  A node count lower than the previous one is
+    treated as a new solve. *)
 
 val heartbeat_count : unit -> int
 (** Total heartbeat lines emitted ([progress.heartbeats] counter). *)
 
 val dropped_count : unit -> int
 (** Total suppressed ticks ([progress.dropped] counter): would-be
-    heartbeats that lost the throttle window or the CAS race. *)
+    heartbeats that fell inside the throttle window. *)
 
 val reset : unit -> unit
 (** Forget phase and solver state and re-arm the throttle (tests). *)

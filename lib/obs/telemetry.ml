@@ -1,38 +1,36 @@
-let trace_schema_version = "slocal.trace/4"
+let trace_schema_version = "slocal.trace/5"
 let now_ns = Monotonic_clock.now
-let self_domain () = (Domain.self () :> int)
 
 (* ------------------------------------------------------------------ *)
 (* Metric handles.
 
    A metric is an interned (name, kind, slot) triple; the slot indexes
-   into a per-domain value array, so the hot-path write is a DLS fetch
-   plus an array store and never contends with other domains.  The
-   interning registry itself is the only cross-domain table and every
-   access takes [intern_mu]. *)
+   into the registry's value array, so the hot-path write is one array
+   store. *)
 
 type metric_kind = Counter | Gauge
 type metric = { m_name : string; m_kind : metric_kind; m_slot : int }
 
-let intern_mu = Mutex.create () (* staticcheck: domain-safe interning lock; guards registry below *)
-
-(* staticcheck: domain-safe interning registry; every access takes intern_mu *)
+(* staticcheck: shared-cache-needs-lock process-wide interning registry; filled at module init and on first use *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
-let slot_count = ref 0 (* staticcheck: domain-safe next metric slot; guarded by intern_mu *)
+
+(* staticcheck: shared-cache-needs-lock metric slot -> value; grown when a metric registers past its end *)
+let values = ref (Array.make 64 0)
 
 let register m_name m_kind =
-  Mutex.lock intern_mu;
-  let m =
-    match Hashtbl.find_opt registry m_name with
-    | Some m -> m
-    | None ->
-        let m = { m_name; m_kind; m_slot = !slot_count } in
-        Stdlib.incr slot_count;
-        Hashtbl.add registry m_name m;
-        m
-  in
-  Mutex.unlock intern_mu;
-  m
+  match Hashtbl.find_opt registry m_name with
+  | Some m -> m
+  | None ->
+      (* Slots are handed out densely, one per registered name. *)
+      let m = { m_name; m_kind; m_slot = Hashtbl.length registry } in
+      let n = Array.length !values in
+      if m.m_slot >= n then begin
+        let bigger = Array.make (2 * n) 0 in
+        Array.blit !values 0 bigger 0 n;
+        values := bigger
+      end;
+      Hashtbl.add registry m_name m;
+      m
 
 let counter name = register name Counter
 let gauge name = register name Gauge
@@ -40,18 +38,33 @@ let kind m = m.m_kind
 let name m = m.m_name
 
 let metrics_list () =
-  Mutex.lock intern_mu;
-  let l = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
-  Mutex.unlock intern_mu;
-  List.sort (fun a b -> compare a.m_name b.m_name) l
+  Hashtbl.fold (fun _ m acc -> m :: acc) registry []
+  |> List.sort (fun a b -> compare a.m_name b.m_name)
 
-let kind_of_name nm =
-  Mutex.lock intern_mu;
-  let k = Option.map (fun m -> m.m_kind) (Hashtbl.find_opt registry nm) in
-  Mutex.unlock intern_mu;
-  k
+let kind_of_name nm = Option.map (fun m -> m.m_kind) (Hashtbl.find_opt registry nm)
+let incr m = !values.(m.m_slot) <- !values.(m.m_slot) + 1
+let add m n = !values.(m.m_slot) <- !values.(m.m_slot) + n
+let set m v = !values.(m.m_slot) <- v
+let value m = !values.(m.m_slot)
+let snapshot () = List.map (fun m -> (m.m_name, value m)) (metrics_list ())
 
-(* ------------------------------------------------------------------ *)
+let kinds_snapshot () =
+  List.map (fun m -> (m.m_name, m.m_kind, value m)) (metrics_list ())
+
+let nonzero_snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot ())
+
+let delta ~before ~after =
+  List.filter_map
+    (fun (nm, av) ->
+      let k = Option.value (kind_of_name nm) ~default:Counter in
+      let v =
+        match k with
+        | Gauge -> av
+        | Counter -> av - Option.value (List.assoc_opt nm before) ~default:0
+      in
+      if v <> 0 then Some (nm, v) else None)
+    after
+
 (* Histograms *)
 
 module Histogram = struct
@@ -61,7 +74,7 @@ module Histogram = struct
      and quantile estimates clamp to the observed range. *)
   let bucket_count = 64
 
-  (* staticcheck: per-call every histogram instance lives in one domain's shard; cross-domain reads only at quiescent merge points *)
+  (* staticcheck: per-call every histogram instance is owned by the registry or by one caller's copy *)
   type t = {
     mutable h_count : int;
     mutable h_sum : int;
@@ -185,178 +198,33 @@ module Histogram = struct
     h
 end
 
-(* ------------------------------------------------------------------ *)
-(* Per-domain shards.
-
-   Every domain that records telemetry lazily creates one shard
-   (Domain.DLS) holding its metric cells, histogram instances, span
-   stack and pending sink bytes, and registers it in the global
-   atomic shard list.  Shards are only ever *written* by their owning
-   domain; cross-domain reads happen at merge points — snapshots,
-   pool joins, process exit — and are exact when the writers are
-   quiescent (joined workers, single-domain runs).  Mid-run reads of
-   metric cells are plain int-array loads: memory-safe, possibly a
-   few increments stale.  The shard list itself is append-only, so a
-   shard's counts keep contributing to process totals after its
-   domain terminates. *)
-
-(* staticcheck: per-call one shard per domain, written only by its owner; cross-domain reads at quiescent merge points *)
-type shard = {
-  sh_domain : int;
-  mutable sh_values : int array; (* metric slot -> value *)
-  sh_hists : (string, Histogram.t) Hashtbl.t;
-  mutable sh_spans : (int * string * int64 * float * int * int) list;
-      (* (id, name, t0, alloc_bytes0, minor0, major0), innermost
-         first; the GC baselines feed the span_close deltas *)
-  sh_buf : Buffer.t; (* complete JSONL lines not yet handed to the writer *)
-}
-
-let shards : shard list Atomic.t = Atomic.make [] (* staticcheck: domain-safe append-only shard list; CAS push, read-only traversal *)
-
-let new_shard () =
-  Mutex.lock intern_mu;
-  let n = max 64 !slot_count in
-  Mutex.unlock intern_mu;
-  {
-    sh_domain = self_domain ();
-    sh_values = Array.make n 0;
-    sh_hists = Hashtbl.create 16;
-    sh_spans = [];
-    sh_buf = Buffer.create 256;
-  }
-
-(* staticcheck: domain-safe per-domain metric shard; DLS, registered in the atomic shard list *)
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = new_shard () in
-      let rec push () =
-        let cur = Atomic.get shards in
-        if not (Atomic.compare_and_set shards cur (s :: cur)) then push ()
-      in
-      push ();
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
-
-let all_shards () =
-  List.sort (fun a b -> compare a.sh_domain b.sh_domain) (Atomic.get shards)
-
-(* Only the owning domain grows its value array (a newly registered
-   slot); a concurrent reader sees either array, reading 0 for slots
-   past the old length. *)
-let cell_shard slot =
-  let s = my_shard () in
-  let n = Array.length s.sh_values in
-  if slot >= n then begin
-    let bigger = Array.make (max (2 * n) (slot + 1)) 0 in
-    Array.blit s.sh_values 0 bigger 0 n;
-    s.sh_values <- bigger
-  end;
-  s
-
-let incr m =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- s.sh_values.(m.m_slot) + 1
-
-let add m n =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- s.sh_values.(m.m_slot) + n
-
-let set m v =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- v
-
-let shard_value s slot =
-  let values = s.sh_values in
-  if slot < Array.length values then values.(slot) else 0
-
-(* The deterministic associative merge: counters sum across shards;
-   gauges take the maximum (they are sizes and totals here, 0 when a
-   shard never set them).  Both operations are associative and
-   commutative, so the merged value is independent of shard order. *)
-let merged_value m_kind slot =
-  let shards = Atomic.get shards in
-  match m_kind with
-  | Counter -> List.fold_left (fun acc s -> acc + shard_value s slot) 0 shards
-  | Gauge -> List.fold_left (fun acc s -> max acc (shard_value s slot)) 0 shards
-
-let value m = merged_value m.m_kind m.m_slot
-
-let snapshot () =
-  List.map (fun m -> (m.m_name, merged_value m.m_kind m.m_slot)) (metrics_list ())
-  |> List.sort compare
-
-let kinds_snapshot () =
-  List.map
-    (fun m -> (m.m_name, m.m_kind, merged_value m.m_kind m.m_slot))
-    (metrics_list ())
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-let nonzero_snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot ())
-
-let delta ~before ~after =
-  List.filter_map
-    (fun (nm, av) ->
-      let k = Option.value (kind_of_name nm) ~default:Counter in
-      let v =
-        match k with
-        | Gauge -> av
-        | Counter -> av - Option.value (List.assoc_opt nm before) ~default:0
-      in
-      if v <> 0 then Some (nm, v) else None)
-    after
+(* staticcheck: shared-cache-needs-lock named histograms, interned on first use *)
+let hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
 
 let histogram name =
-  let s = my_shard () in
-  match Hashtbl.find_opt s.sh_hists name with
+  match Hashtbl.find_opt hists name with
   | Some h -> h
   | None ->
       let h = Histogram.create () in
-      Hashtbl.add s.sh_hists name h;
+      Hashtbl.add hists name h;
       h
 
 let histogram_snapshot () =
-  let tbl : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun nm h ->
-          if not (Histogram.is_empty h) then
-            match Hashtbl.find_opt tbl nm with
-            | None -> Hashtbl.add tbl nm (Histogram.copy h)
-            | Some m -> Hashtbl.replace tbl nm (Histogram.merge m h))
-        s.sh_hists)
-    (all_shards ());
-  Hashtbl.fold (fun nm h acc -> (nm, h) :: acc) tbl []
+  Hashtbl.fold
+    (fun nm h acc ->
+      if Histogram.is_empty h then acc else (nm, Histogram.copy h) :: acc)
+    hists []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let zero m =
-  (* Quiescent-only, like [reset_metrics]: a plain [set m 0] clears
-     only the calling domain's cell, so a counter that accumulated in
-     worker shards would keep reporting their leftovers after a
-     "reset" — and a [delta] window spanning such a reset would go
-     negative.  Zero the metric's slot in every shard instead. *)
-  List.iter
-    (fun s ->
-      if m.m_slot < Array.length s.sh_values then s.sh_values.(m.m_slot) <- 0)
-    (all_shards ())
-
 let reset_metrics () =
-  (* Quiescent-only (tests, harness boundaries): zero every shard's
-     cells and histograms, whoever owns them. *)
-  List.iter
-    (fun s ->
-      Array.fill s.sh_values 0 (Array.length s.sh_values) 0;
-      (* staticcheck: domain-safe order-insensitive: every histogram is reset independently *)
-      Hashtbl.iter (fun _ h -> Histogram.reset h) s.sh_hists)
-    (all_shards ())
+  Array.fill !values 0 (Array.length !values) 0;
+  (* staticcheck: domain-safe order-insensitive: every histogram is reset independently *)
+  Hashtbl.iter (fun _ h -> Histogram.reset h) hists
 
 (* ------------------------------------------------------------------ *)
 (* GC gauges.  Sampled only while a sink is installed (span
    boundaries) or on explicit request, so the null-sink fast path
-   never calls [Gc.quick_stat].  Under OCaml 5 the sample describes
-   the calling domain; the merged gauge reports the per-domain
-   maximum. *)
+   never calls [Gc.quick_stat]. *)
 
 let g_gc_minor = gauge "gc.minor_collections"
 let g_gc_major = gauge "gc.major_collections"
@@ -375,8 +243,8 @@ let set_gc_gauges (s : Gc.stat) =
   set g_gc_heap_words s.Gc.heap_words;
   set g_gc_top_heap_words s.Gc.top_heap_words;
   set g_gc_allocated_bytes (int_of_float (Gc.allocated_bytes ()));
-  (* [Gc.counters] is the precise per-domain word accounting — exact
-     where quick_stat's word fields may lag the current minor heap. *)
+  (* [Gc.counters] is the precise word accounting — exact where
+     quick_stat's word fields may lag the current minor heap. *)
   let minor_w, promoted_w, major_w = Gc.counters () in
   set g_gc_minor_words (int_of_float minor_w);
   set g_gc_promoted_words (int_of_float promoted_w);
@@ -386,24 +254,21 @@ let sample_gc () = set_gc_gauges (Gc.quick_stat ())
 
 (* ------------------------------------------------------------------ *)
 (* Major-cycle monitor.  While a sink is installed, a [Gc.create_alarm]
-   hook fires at the end of every major GC cycle on the installing
-   domain: it bumps the [gc.majors] counter and records the latency
-   since the previous cycle's end into the [gc.major_cycle_ns]
-   histogram — the pause-pressure signal of a run.  Both writes land
-   in the calling domain's shard (alarms are per-domain under OCaml
-   5), so the monitor is as shard-safe as any span.  With the null
-   sink no alarm exists and the hot path pays nothing. *)
+   hook fires at the end of every major GC cycle: it bumps the
+   [gc.majors] counter and records the time since the previous cycle's
+   end into the [gc.major_interval_ns] histogram.  That is the spacing
+   of major cycles, not their pause time.  With the null sink no alarm
+   exists and the hot path pays nothing. *)
 
 let c_gc_majors = counter "gc.majors"
 
-(* staticcheck: domain-safe major-cycle alarm handle; installed and deleted only by set_sink on the installing domain *)
+(* staticcheck: immutable-after-init major-cycle alarm handle; installed and deleted only by set_sink *)
 let gc_alarm : Gc.alarm option ref = ref None
 
 let install_gc_alarm () =
   if !gc_alarm = None then begin
     (* The inter-cycle clock starts at install time, so the first
-       cycle's latency measures from monitor start, not process
-       start. *)
+       interval measures from monitor start, not process start. *)
     let last = ref (now_ns ()) in
     gc_alarm :=
       Some
@@ -412,7 +277,7 @@ let install_gc_alarm () =
              let dt = Int64.to_int (Int64.sub t !last) in
              last := t;
              incr c_gc_majors;
-             Histogram.record (histogram "gc.major_cycle_ns") dt))
+             Histogram.record (histogram "gc.major_interval_ns") dt))
   end
 
 let remove_gc_alarm () =
@@ -426,22 +291,20 @@ let remove_gc_alarm () =
 (* Request context.
 
    A long-lived process (the [slocal serve] daemon) handles many
-   requests against the same shards.  [with_request] marks a window:
+   requests against the same registry.  [with_request] marks a window:
    while it is open, every emitted event carries the request id (the
-   additive slocal.trace/4 [req] field, stamped at serialization
-   time so worker-domain events inside the window are tagged too),
-   and the summary returned at close reports only the window's own
-   counter deltas — computed from registry snapshots, so the global
-   totals and the live OpenMetrics registry stay exact.  Requests are
-   process-global and non-overlapping by design: the daemon handles
-   one request at a time (pool parallelism happens *inside* a
-   request), which is exactly what makes the per-request deltas
-   disjoint and their sum equal to the global delta. *)
+   additive [req] trace field, stamped at serialization time), and the
+   summary returned at close reports only the window's own counter
+   deltas — computed from registry snapshots, so the global totals and
+   the live OpenMetrics registry stay exact.  Windows never overlap:
+   the daemon handles one request at a time, which is exactly what
+   makes the per-request deltas disjoint and their sum equal to the
+   global delta. *)
 
-(* staticcheck: domain-safe current request id; atomic swap at request boundaries, read-only on the emit path *)
-let current_request_id : string option Atomic.t = Atomic.make None
+(* staticcheck: per-call id of the one open request window; set and cleared by with_request *)
+let current_request_id : string option ref = ref None
 
-let current_request () = Atomic.get current_request_id
+let current_request () = !current_request_id
 
 type request_summary = {
   rq_id : string;
@@ -457,14 +320,8 @@ let c_request_count = counter "request.count"
 (* Events and sinks *)
 
 type event =
-  | Trace_start of { t_ns : int64; domain : int }
-  | Span_open of {
-      id : int;
-      parent : int option;
-      name : string;
-      t_ns : int64;
-      domain : int;
-    }
+  | Trace_start of { t_ns : int64 }
+  | Span_open of { id : int; parent : int option; name : string; t_ns : int64 }
   | Span_close of {
       id : int;
       name : string;
@@ -473,90 +330,45 @@ type event =
       alloc_b : int;
       minor_n : int;
       major_n : int;
-      domain : int;
     }
-  | Counters of { t_ns : int64; domain : int; values : (string * int) list }
-  | Histograms of {
-      t_ns : int64;
-      domain : int;
-      values : (string * Histogram.t) list;
-    }
+  | Counters of { t_ns : int64; values : (string * int) list }
+  | Histograms of { t_ns : int64; values : (string * Histogram.t) list }
   | Provenance of {
       t_ns : int64;
-      domain : int;
       step : int;
       label : string;
       values : (string * int) list;
     }
-  | Message of { t_ns : int64; domain : int; text : string }
+  | Message of { t_ns : int64; text : string }
 
-let event_domain = function
-  | Trace_start { domain; _ }
-  | Span_open { domain; _ }
-  | Span_close { domain; _ }
-  | Counters { domain; _ }
-  | Histograms { domain; _ }
-  | Provenance { domain; _ }
-  | Message { domain; _ } ->
-      domain
-
-type sink =
-  | Null
-  | Emit of {
-      emit : event -> unit;
-      flush : unit -> unit;
-      flush_local : unit -> unit;
-          (* hand the calling domain's buffered bytes to the writer *)
-    }
+type sink = Null | Emit of { emit : event -> unit; flush : unit -> unit }
 
 let null_sink = Null
+let collector_sink f = Emit { emit = f; flush = ignore }
 
-let collector_sink f =
-  (* Callbacks run on the emitting domain; serialize them so test
-     collectors can use plain lists. *)
-  let mu = Mutex.create () in
-  Emit
-    {
-      emit =
-        (fun ev ->
-          Mutex.lock mu;
-          Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> f ev));
-      flush = ignore;
-      flush_local = ignore;
-    }
-
-let current = Atomic.make Null (* staticcheck: domain-safe sink slot; atomic swap on install, read-only on the emit path *)
-let enabled () = match Atomic.get current with Null -> false | Emit _ -> true
-let emit ev = match Atomic.get current with Null -> () | Emit e -> e.emit ev
+let current = ref Null (* staticcheck: immutable-after-init sink slot; replaced only by set_sink, outside any span *)
+let enabled () = match !current with Null -> false | Emit _ -> true
+let emit ev = match !current with Null -> () | Emit e -> e.emit ev
 
 (* Flushing must be an idempotent no-op whatever state the sink is in:
    the at_exit safety net below can run after a CLI wrapper already
    flushed and closed the underlying channel, and a double flush must
-   not duplicate or truncate the trailing record.  Buffers hold only
-   complete lines, so a swallowed [Sys_error] from a closed channel
-   can never leave a partial record behind.  Draining *other* domains'
-   buffers is exact only when those domains are quiescent (pool join,
-   process exit) — live domains flush their own buffers. *)
+   not duplicate or truncate the trailing record.  The buffer holds
+   only complete lines, so a swallowed [Sys_error] from a closed
+   channel can never leave a partial record behind. *)
 let flush_sink () =
-  match Atomic.get current with
-  | Null -> ()
-  | Emit e -> ( try e.flush () with _ -> ())
-
-let flush_local () =
-  match Atomic.get current with
-  | Null -> ()
-  | Emit e -> ( try e.flush_local () with _ -> ())
+  match !current with Null -> () | Emit e -> ( try e.flush () with _ -> ())
 
 let set_sink s =
   (* Drain the outgoing sink first so buffered events reach their own
      trace, not the next one's channel. *)
   flush_sink ();
-  Atomic.set current s;
+  current := s;
   match s with
   | Null -> remove_gc_alarm ()
   | Emit e ->
       install_gc_alarm ();
-      e.emit (Trace_start { t_ns = now_ns (); domain = self_domain () })
+      e.emit (Trace_start { t_ns = now_ns () })
 
 (* Safety net: if the process exits (node-budget abort, uncaught
    exception, plain [exit]) while a sink is still installed, push any
@@ -568,29 +380,25 @@ let () = at_exit flush_sink (* staticcheck: domain-safe registered once at modul
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
-let next_id = Atomic.make 0 (* staticcheck: domain-safe span-id allocator; fetch_and_add gives process-unique ids *)
-let c_sink_flushes = counter "par.sink_flushes"
+let next_id = ref 0 (* staticcheck: shared-cache-needs-lock span-id allocator; process-unique ids *)
+let open_spans : int list ref = ref [] (* staticcheck: per-call ids of the currently open spans, innermost first *)
 
 let span nm f =
-  match Atomic.get current with
+  match !current with
   | Null -> f ()
   | Emit _ ->
-      let s = my_shard () in
-      let id = Atomic.fetch_and_add next_id 1 in
+      let id = !next_id in
+      next_id := id + 1;
       let q0 = Gc.quick_stat () in
       set_gc_gauges q0;
       let a0 = Gc.allocated_bytes () in
       let t0 = now_ns () in
-      let parent =
-        match s.sh_spans with [] -> None | (pid, _, _, _, _, _) :: _ -> Some pid
-      in
-      emit (Span_open { id; parent; name = nm; t_ns = t0; domain = s.sh_domain });
-      s.sh_spans <-
-        (id, nm, t0, a0, q0.Gc.minor_collections, q0.Gc.major_collections)
-        :: s.sh_spans;
+      let parent = match !open_spans with [] -> None | pid :: _ -> Some pid in
+      emit (Span_open { id; parent; name = nm; t_ns = t0 });
+      open_spans := id :: !open_spans;
       let finish () =
-        (match s.sh_spans with
-        | (id', _, _, _, _, _) :: rest when id' = id -> s.sh_spans <- rest
+        (match !open_spans with
+        | id' :: rest when id' = id -> open_spans := rest
         | _ -> ());
         let t1 = now_ns () in
         let dur_ns = Int64.sub t1 t0 in
@@ -602,19 +410,10 @@ let span nm f =
         Histogram.record (histogram ("span." ^ nm)) (Int64.to_int dur_ns);
         emit
           (Span_close
-             {
-               id;
-               name = nm;
-               t_ns = t1;
-               dur_ns;
-               alloc_b;
-               minor_n;
-               major_n;
-               domain = s.sh_domain;
-             });
+             { id; name = nm; t_ns = t1; dur_ns; alloc_b; minor_n; major_n });
         (* A top-level close is a natural crash-consistency point:
-           hand this domain's buffered lines to the writer. *)
-        if s.sh_spans = [] then flush_local ()
+           hand the buffered lines to the writer. *)
+        if !open_spans = [] then flush_sink ()
       in
       Fun.protect ~finally:finish f
 
@@ -627,10 +426,10 @@ let with_request ~id f =
   let before = snapshot () in
   let a0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
-  Atomic.set current_request_id (Some id);
+  current_request_id := Some id;
   let v =
     Fun.protect
-      ~finally:(fun () -> Atomic.set current_request_id None)
+      ~finally:(fun () -> current_request_id := None)
       (fun () ->
         incr c_request_count;
         span "request" f)
@@ -653,31 +452,19 @@ let with_request ~id f =
 
 let emit_counters () =
   if enabled () then
-    emit
-      (Counters
-         {
-           t_ns = now_ns ();
-           domain = self_domain ();
-           values = nonzero_snapshot ();
-         })
+    emit (Counters { t_ns = now_ns (); values = nonzero_snapshot () })
 
 let emit_histograms () =
   if enabled () then begin
     match histogram_snapshot () with
     | [] -> ()
-    | values ->
-        emit (Histograms { t_ns = now_ns (); domain = self_domain (); values })
+    | values -> emit (Histograms { t_ns = now_ns (); values })
   end
 
 let provenance ~step ~label values =
-  if enabled () then
-    emit
-      (Provenance
-         { t_ns = now_ns (); domain = self_domain (); step; label; values })
+  if enabled () then emit (Provenance { t_ns = now_ns (); step; label; values })
 
-let message text =
-  if enabled () then
-    emit (Message { t_ns = now_ns (); domain = self_domain (); text })
+let message text = if enabled () then emit (Message { t_ns = now_ns (); text })
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -728,25 +515,22 @@ let histogram_of_json j =
 
 let event_to_json ev : Json.t =
   let t ns = ("t_ns", Json.Int (Int64.to_int ns)) in
-  let d domain = ("domain", Json.Int domain) in
-  (* The additive slocal.trace/4 field: stamped at serialization time,
-     so every event emitted while a request window is open — including
-     events from worker domains inside the window — carries the id. *)
+  (* The additive [req] field: stamped at serialization time, so every
+     event emitted while a request window is open carries the id. *)
   let obj fields =
-    match Atomic.get current_request_id with
+    match !current_request_id with
     | None -> Json.Obj fields
     | Some id -> Json.Obj (fields @ [ ("req", Json.String id) ])
   in
   match ev with
-  | Trace_start { t_ns; domain } ->
+  | Trace_start { t_ns } ->
       obj
         [
           ("schema", Json.String trace_schema_version);
           ("kind", Json.String "trace_start");
           t t_ns;
-          d domain;
         ]
-  | Span_open { id; parent; name; t_ns; domain } ->
+  | Span_open { id; parent; name; t_ns } ->
       obj
         [
           ("kind", Json.String "span_open");
@@ -755,9 +539,8 @@ let event_to_json ev : Json.t =
             match parent with None -> Json.Null | Some p -> Json.Int p );
           ("name", Json.String name);
           t t_ns;
-          d domain;
         ]
-  | Span_close { id; name; t_ns; dur_ns; alloc_b; minor_n; major_n; domain } ->
+  | Span_close { id; name; t_ns; dur_ns; alloc_b; minor_n; major_n } ->
       obj
         [
           ("kind", Json.String "span_close");
@@ -768,86 +551,69 @@ let event_to_json ev : Json.t =
           ("alloc_b", Json.Int alloc_b);
           ("minor_n", Json.Int minor_n);
           ("major_n", Json.Int major_n);
-          d domain;
         ]
-  | Counters { t_ns; domain; values } ->
+  | Counters { t_ns; values } ->
       obj
         [
           ("kind", Json.String "counters");
           t t_ns;
-          d domain;
           ( "values",
             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) values) );
         ]
-  | Histograms { t_ns; domain; values } ->
+  | Histograms { t_ns; values } ->
       obj
         [
           ("kind", Json.String "histograms");
           t t_ns;
-          d domain;
           ( "values",
             Json.Obj (List.map (fun (k, h) -> (k, histogram_to_json h)) values)
           );
         ]
-  | Provenance { t_ns; domain; step; label; values } ->
+  | Provenance { t_ns; step; label; values } ->
       obj
         [
           ("kind", Json.String "provenance");
           t t_ns;
-          d domain;
           ("step", Json.Int step);
           ("label", Json.String label);
           ( "values",
             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) values) );
         ]
-  | Message { t_ns; domain; text } ->
-      obj
-        [
-          ("kind", Json.String "message");
-          t t_ns;
-          d domain;
-          ("text", Json.String text);
-        ]
+  | Message { t_ns; text } ->
+      obj [ ("kind", Json.String "message"); t t_ns; ("text", Json.String text) ]
 
-(* How many pending bytes a domain accumulates before handing them to
-   the writer on its own: large enough to amortize the lock, small
-   enough that a killed run loses at most a few KB per domain. *)
+(* How many pending bytes the sink accumulates before writing them out:
+   large enough to amortize the syscall, small enough that a killed
+   run loses at most a few KB. *)
 let flush_threshold = 8192
 
 let jsonl_sink oc =
-  (* One mutex-guarded writer; every domain renders into its own
-     shard buffer and only contends when handing over a full buffer.
-     Both channel operations tolerate a closed channel: a CLI teardown
+  (* Both channel operations tolerate a closed channel: a CLI teardown
      path may close [oc] before the module-level [at_exit] flush runs,
      and emits raced against teardown must not crash the instrumented
-     code.  Buffers hold only complete lines, so a swallowed
+     code.  The buffer holds only complete lines, so a swallowed
      [Sys_error] can never leave a partial record behind. *)
-  let mu = Mutex.create () in
-  let write_buf b =
-    if Buffer.length b > 0 then begin
-      Mutex.lock mu;
+  let buf = Buffer.create 256 in
+  let write () =
+    if Buffer.length buf > 0 then begin
       (try
-         Buffer.output_buffer oc b;
+         Buffer.output_buffer oc buf;
          flush oc
        with Sys_error _ -> ());
-      Buffer.clear b;
-      Mutex.unlock mu;
-      incr c_sink_flushes
+      Buffer.clear buf
     end
   in
   Emit
     {
       emit =
         (fun ev ->
-          let s = my_shard () in
-          Buffer.add_string s.sh_buf (Json.to_string (event_to_json ev));
-          Buffer.add_char s.sh_buf '\n';
-          if Buffer.length s.sh_buf >= flush_threshold then write_buf s.sh_buf);
+          Buffer.add_string buf (Json.to_string (event_to_json ev));
+          Buffer.add_char buf '\n';
+          if Buffer.length buf >= flush_threshold then write ());
       flush =
         (fun () ->
-          List.iter (fun s -> write_buf s.sh_buf) (all_shards ());
+          write ();
           try flush oc with Sys_error _ -> ());
-      flush_local = (fun () -> write_buf (my_shard ()).sh_buf);
     }
 
 let pp_duration fmt ns =
@@ -858,23 +624,14 @@ let pp_duration fmt ns =
   else Format.fprintf fmt "%Ldns" ns
 
 let stderr_sink () =
-  (* Human-facing live tree; a mutex keeps concurrent emits whole.
-     With several domains the indentation interleaves lanes — the
-     [domain] tag on the trace events is the faithful record. *)
-  let mu = Mutex.create () in
+  (* Human-facing live tree. *)
   let depth = ref 0 in
   let indent () = String.make (2 * !depth) ' ' in
-  let locked f =
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-  in
   Emit
     {
       flush = (fun () -> Printf.eprintf "%!");
-      flush_local = ignore;
       emit =
         (fun ev ->
-          locked @@ fun () ->
           match ev with
           | Trace_start _ -> Printf.eprintf "[obs] trace start\n%!"
           | Span_open { name; _ } ->

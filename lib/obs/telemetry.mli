@@ -1,7 +1,6 @@
 (** Structured telemetry: monotonic-clock spans, named counters,
-    gauges and histograms, and pluggable sinks — recorded into
-    per-domain shards so instrumented kernels can run under OCaml 5
-    domains without locks on the hot path.
+    gauges and histograms, and pluggable sinks — recorded into one
+    process-wide registry.
 
     The expensive kernels of this repository — the backtracking solver,
     the RE operator, the lift construction, the exhaustive zero-round
@@ -13,31 +12,22 @@
     histogram recording and GC sampling happen only inside the
     sink-installed branch.
 
-    {b Domain model} (DESIGN.md §9).  Every domain that records
-    telemetry lazily owns one {e shard} ([Domain.DLS]): its metric
-    cells, histogram instances, span stack and pending sink bytes.
-    Shards register themselves in an append-only atomic list; reads
-    ({!value}, {!snapshot}, {!histogram_snapshot}) merge across shards
-    with a deterministic associative merge — counters sum, gauges take
-    the per-domain maximum, histograms merge pointwise.  Merged reads
-    are exact at {e quiescent} points (after a pool join, at process
-    exit, in single-domain runs) and may lag live writers by a few
-    increments mid-run.  Span ids are allocated from one atomic
-    counter, so they are unique across domains, and every {!event}
-    carries the recording domain's id.
+    The registry holds one value cell per metric, one table of named
+    histograms, the stack of open spans and the current sink.  It is
+    not synchronized: the library runs on a single OCaml domain.
 
     Sinks receive a stream of {!event} values:
 
     - {!stderr_sink} renders an indented live span tree to stderr;
     - {!jsonl_sink} writes one JSON object per line (the
-      [slocal.trace/4] schema, documented in DESIGN.md) through one
-      mutex-guarded writer fed by per-domain buffers;
+      [slocal.trace/5] schema, documented in DESIGN.md) through one
+      buffered writer;
     - {!collector_sink} hands events to a callback (used by tests).
 
     {b Request windows}.  A long-lived process ({!Slocal_serve}'s
     [slocal serve] daemon) wraps each unit of work in
     {!with_request}: events serialized inside the window carry the
-    request id (the additive [slocal.trace/4] [req] field) and the
+    request id (the optional [req] trace field) and the
     returned {!request_summary} reports the window's own counter
     deltas, wall time and allocation — computed from registry
     snapshots, so global totals and the live OpenMetrics registry
@@ -61,24 +51,18 @@ val gauge : string -> metric
     registered, the existing metric (and its kind) wins. *)
 
 val incr : metric -> unit
-(** Add 1 to the calling domain's cell (lock-free). *)
-
 val add : metric -> int -> unit
+
 val set : metric -> int -> unit
-(** [set] writes the calling domain's cell.  A gauge then reports the
-    per-domain maximum when several domains set it; a counter reports
-    the cross-domain sum, so resetting a counter with [set m 0] only
-    clears the calling domain's contribution. *)
+(** Overwrite the metric's value ([set m 0] resets a counter). *)
 
 val value : metric -> int
-(** Merged value across shards: counters sum, gauges take the
-    per-domain maximum.  Exact at quiescent points. *)
 
 val kind : metric -> metric_kind
 val name : metric -> string
 
 val snapshot : unit -> (string * int) list
-(** All registered metrics with their merged values, sorted by name. *)
+(** All registered metrics with their values, sorted by name. *)
 
 val kinds_snapshot : unit -> (string * metric_kind * int) list
 (** Like {!snapshot} but carrying each metric's kind, for exporters
@@ -94,16 +78,8 @@ val delta :
     absent from [before] count from 0. *)
 
 val reset_metrics : unit -> unit
-(** Zero every shard's metrics and histograms (tests and long-running
-    harnesses).  Call only at quiescent points — no live worker
-    domains. *)
-
-val zero : metric -> unit
-(** Zero one metric across {e every} shard.  [set m 0] clears only the
-    calling domain's cell; after a parallel run a counter's total
-    would keep reporting the worker shards' contributions, and a
-    {!delta} window spanning such a reset would go negative.  Like
-    {!reset_metrics}, call only at quiescent points. *)
+(** Zero every metric and histogram (tests and long-running
+    harnesses). *)
 
 (** {1 Histograms}
 
@@ -136,8 +112,7 @@ module Histogram : sig
 
   val merge : t -> t -> t
   (** Pointwise bucket sum (fresh histogram; arguments unchanged).
-      Associative and commutative up to {!equal} — the shard merge
-      relies on exactly this. *)
+      Associative and commutative up to {!equal}. *)
 
   val equal : t -> t -> bool
 
@@ -159,20 +134,14 @@ module Histogram : sig
 end
 
 val histogram : string -> Histogram.t
-(** Intern a histogram in the {e calling domain's} shard (same-name
-    calls from the same domain return the same instance).  Span
+(** Intern a histogram in the registry (same-name calls return the
+    same instance).  Span
     durations are recorded automatically into [span.<name>] histograms
     while a sink is installed. *)
 
 val histogram_snapshot : unit -> (string * Histogram.t) list
-(** All non-empty histograms merged across shards, sorted by name.
-    The returned histograms are fresh merged copies — safe to keep. *)
-
-(** {1 Domains} *)
-
-val self_domain : unit -> int
-(** The calling domain's id ([Domain.self] as an integer) — the value
-    stamped into the [domain] field of emitted events. *)
+(** All non-empty histograms, sorted by name.  The returned
+    histograms are fresh copies — safe to keep. *)
 
 (** {1 Request windows} *)
 
@@ -180,8 +149,8 @@ type request_summary = {
   rq_id : string;
   rq_wall_ns : int64;  (** Wall time of the window (monotonic). *)
   rq_alloc_b : int;
-      (** Bytes allocated on the coordinating domain inside the
-          window ([Gc.allocated_bytes] delta). *)
+      (** Bytes allocated inside the window ([Gc.allocated_bytes]
+          delta). *)
   rq_counters : (string * int) list;
       (** Non-zero {e counter} deltas attributable to the window,
           sorted by name. *)
@@ -194,13 +163,11 @@ val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
 (** [with_request ~id f] runs [f ()] inside a request window: the
     global registry snapshot is taken at open and close and their
     {!delta} becomes the summary's counter list; every event
-    serialized while the window is open — including events emitted by
-    worker domains inside it — carries [id] in the additive
-    [slocal.trace/4] [req] field; the body runs under a [request]
-    span and bumps the [request.count] counter {e inside} the window.
-    Windows are process-global and must not overlap (the serve daemon
-    handles one request at a time; pool parallelism happens inside a
-    request) — that non-overlap is what makes per-request counter
+    serialized while the window is open carries [id] in the optional
+    [req] trace field; the body runs under a [request] span and bumps
+    the [request.count] counter {e inside} the window.  Windows are
+    process-global and must not overlap (the serve daemon handles one
+    request at a time) — that non-overlap is what makes per-request counter
     deltas disjoint and their sum equal to the global delta.  The id
     is cleared on exceptions too; the exception still propagates. *)
 
@@ -213,11 +180,10 @@ val sample_gc : unit -> unit
 (** Refresh the [gc.*] gauges ([minor_collections],
     [major_collections], [compactions], [heap_words],
     [top_heap_words], [allocated_bytes]) from [Gc.quick_stat], plus
-    the precise per-domain word accounting ([minor_words],
+    the precise word accounting ([minor_words],
     [promoted_words], [major_words]) from [Gc.counters].  Called
     automatically at span boundaries while a sink is installed; call
-    it directly before reading a summary elsewhere.  Samples describe
-    the calling domain; merged gauges report the per-domain maximum. *)
+    it directly before reading a summary elsewhere. *)
 
 (** {1 Clock} *)
 
@@ -228,16 +194,10 @@ val now_ns : unit -> int64
 (** {1 Events and sinks} *)
 
 type event =
-  | Trace_start of { t_ns : int64; domain : int }
+  | Trace_start of { t_ns : int64 }
       (** Emitted automatically when a non-null sink is installed; the
           JSONL rendering carries the schema version. *)
-  | Span_open of {
-      id : int;
-      parent : int option;
-      name : string;
-      t_ns : int64;
-      domain : int;
-    }
+  | Span_open of { id : int; parent : int option; name : string; t_ns : int64 }
   | Span_close of {
       id : int;
       name : string;
@@ -248,32 +208,22 @@ type event =
               from [Gc.allocated_bytes] deltas. *)
       minor_n : int;
           (** Minor collections finished while the span was open
-              ([Gc.quick_stat] deltas); additive [slocal.trace/3]
-              field. *)
+              ([Gc.quick_stat] deltas). *)
       major_n : int;
-          (** Major collections finished while the span was open;
-              additive [slocal.trace/3] field. *)
-      domain : int;
+          (** Major collections finished while the span was open. *)
     }
-  | Counters of { t_ns : int64; domain : int; values : (string * int) list }
-  | Histograms of {
-      t_ns : int64;
-      domain : int;
-      values : (string * Histogram.t) list;
-    }  (** Merged snapshot copies of the non-empty histograms. *)
+  | Counters of { t_ns : int64; values : (string * int) list }
+  | Histograms of { t_ns : int64; values : (string * Histogram.t) list }
+      (** Snapshot copies of the non-empty histograms. *)
   | Provenance of {
       t_ns : int64;
-      domain : int;
       step : int;
       label : string;
       values : (string * int) list;
     }
       (** A derivation-log record: one per RE iteration of a
           lower-bound sequence (see {!Slocal_formalism.Sequence}). *)
-  | Message of { t_ns : int64; domain : int; text : string }
-
-val event_domain : event -> int
-(** The [domain] field, whatever the event kind. *)
+  | Message of { t_ns : int64; text : string }
 
 type sink
 
@@ -281,30 +231,27 @@ val null_sink : sink
 val stderr_sink : unit -> sink
 
 val jsonl_sink : out_channel -> sink
-(** One JSON object per line.  Each domain renders into its own
-    buffer; buffers are handed to a single mutex-guarded writer when
-    they pass a size threshold, when a domain closes its outermost
-    span, on {!flush_local}, and on {!flush_sink} — so concurrent
-    domains never interleave partial lines and a trace file always
-    ends on a line boundary.  The caller owns (and closes) the
+(** One JSON object per line.  Lines are buffered and written out
+    when the buffer passes a size threshold, when the outermost span
+    closes, and on {!flush_sink} — so a trace file always ends on a
+    line boundary.  The caller owns (and closes) the
     channel.  As a safety net, a module-level [at_exit] hook flushes
     whatever sink is still installed when the process exits (budget
     aborts, uncaught exceptions). *)
 
 val collector_sink : (event -> unit) -> sink
-(** Hand events to a callback, serialized by an internal mutex so a
-    test collector can append to a plain list under concurrency. *)
+(** Hand events to a callback (used by tests). *)
 
 val set_sink : sink -> unit
 (** Flush and replace the current sink and, when the new sink is
     non-null, emit {!Trace_start} to it.  Install sinks outside of any
-    open span and with no live worker domains.
+    open span.
 
     Installing a non-null sink also starts the {e major-cycle
-    monitor}: a [Gc.create_alarm] hook on the installing domain that
-    bumps the [gc.majors] counter at the end of every major GC cycle
-    and records the latency since the previous cycle's end into the
-    [gc.major_cycle_ns] histogram.  Installing {!null_sink} deletes
+    monitor}: a [Gc.create_alarm] hook that bumps the [gc.majors]
+    counter at the end of every major GC cycle and records the time
+    since the previous cycle's end into the [gc.major_interval_ns]
+    histogram (the spacing of major cycles, not their pause time).  Installing {!null_sink} deletes
     the alarm, so the monitor (like spans) is free when telemetry is
     off. *)
 
@@ -312,33 +259,27 @@ val enabled : unit -> bool
 (** [true] iff the current sink is not {!null_sink}. *)
 
 val flush_sink : unit -> unit
-(** Flush the current sink, draining {e every} domain's pending
-    buffer.  Idempotent and total: a null sink, an already-flushed
-    sink and a sink whose channel has been closed are all no-ops
-    (never an exception, never a duplicated or truncated trailing
-    record).  Exact only at quiescent points; live domains should use
-    {!flush_local}.  The module-level [at_exit] safety net is exactly
-    this call. *)
-
-val flush_local : unit -> unit
-(** Hand the {e calling} domain's pending buffer to the writer (a
-    worker's last action before it is joined; see {!Pool}). *)
+(** Flush the current sink's pending buffer.  Idempotent and total: a
+    null sink, an already-flushed sink and a sink whose channel has
+    been closed are all no-ops (never an exception, never a duplicated
+    or truncated trailing record).  The module-level [at_exit] safety
+    net is exactly this call. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()].  With a null sink this is just the
     call; otherwise a {!Span_open}/{!Span_close} pair brackets it
-    (closed on exceptions too), nested spans recording their parent
-    {e on the same domain}, the duration is recorded into the
-    [span.<name>] histogram, the allocation delta is attached to the
-    close event, and the [gc.*] gauges are refreshed at both
-    boundaries.  Span ids are process-unique (atomic allocator). *)
+    (closed on exceptions too), nested spans recording their parent,
+    the duration is recorded into the [span.<name>] histogram, the
+    allocation delta is attached to the close event, and the [gc.*]
+    gauges are refreshed at both boundaries.  Span ids are
+    process-unique. *)
 
 val emit_counters : unit -> unit
-(** Send a {!Counters} event with the non-zero merged metrics to the
-    sink (no-op when disabled). *)
+(** Send a {!Counters} event with the non-zero metrics to the sink
+    (no-op when disabled). *)
 
 val emit_histograms : unit -> unit
-(** Send a {!Histograms} event with merged copies of the non-empty
+(** Send a {!Histograms} event with copies of the non-empty
     histograms (no-op when disabled or when all histograms are
     empty). *)
 
@@ -351,12 +292,10 @@ val message : string -> unit
 (** {1 Rendering} *)
 
 val trace_schema_version : string
-(** ["slocal.trace/4"] — /3 plus an optional [req] request-id field
-    on every event serialized inside a {!with_request} window (which
-    was /2 plus [minor_n]/[major_n] GC-work deltas on every
-    [span_close], which was /1 plus a [domain] field on every event).
-    The {!Slocal_obs.Trace} reader still accepts /1, /2 and /3 files:
-    absent fields default ([req] to "no request"). *)
+(** ["slocal.trace/5"]: spans with allocation and GC-work deltas on
+    every [span_close], plus an optional [req] request-id field on
+    every event serialized inside a {!with_request} window.  The
+    {!Slocal_obs.Trace} reader accepts only this version. *)
 
 val event_to_json : event -> Json.t
 (** The JSONL line for an event (see DESIGN.md for the schema). *)

@@ -1,5 +1,4 @@
-(* Read [slocal.trace/4] (and /3, /2, /1) JSONL traces back into
-   Telemetry events. *)
+(* Read [slocal.trace/5] JSONL traces back into Telemetry events. *)
 
 let schema_version = Telemetry.trace_schema_version
 
@@ -39,20 +38,14 @@ let int_values j k =
         (Ok []) kvs
       |> Result.map List.rev
 
-(* [domain] is the additive slocal.trace/2 field: /1 traces carry no
-   domain tag and were single-domain by construction, so default 0. *)
-let domain_field j =
-  Option.value ~default:0 (Option.bind (Json.member "domain" j) Json.as_int)
-
 let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v
 
 let event_of_json j : (Telemetry.event, string) result =
   let* kind = string_field j "kind" in
-  let domain = domain_field j in
   match kind with
   | "trace_start" ->
       let* t_ns = int64_field j "t_ns" in
-      Ok (Telemetry.Trace_start { t_ns; domain })
+      Ok (Telemetry.Trace_start { t_ns })
   | "span_open" ->
       let* id = int_field j "id" in
       let* name = string_field j "name" in
@@ -62,29 +55,22 @@ let event_of_json j : (Telemetry.event, string) result =
         | Some (Json.Int p) -> Some p
         | _ -> None
       in
-      Ok (Telemetry.Span_open { id; parent; name; t_ns; domain })
+      Ok (Telemetry.Span_open { id; parent; name; t_ns })
   | "span_close" ->
       let* id = int_field j "id" in
       let* name = string_field j "name" in
       let* t_ns = int64_field j "t_ns" in
       let* dur_ns = int64_field j "dur_ns" in
-      (* [alloc_b] is an additive slocal.trace/1 field and
-         [minor_n]/[major_n] are additive slocal.trace/3 fields:
-         default 0 for traces written before they existed, so mixed
-         /1 + /2 + /3 files read cleanly. *)
-      let opt_int k =
-        Option.value ~default:0 (Option.bind (Json.member k j) Json.as_int)
-      in
-      let alloc_b = opt_int "alloc_b" in
-      let minor_n = opt_int "minor_n" in
-      let major_n = opt_int "major_n" in
+      let* alloc_b = int_field j "alloc_b" in
+      let* minor_n = int_field j "minor_n" in
+      let* major_n = int_field j "major_n" in
       Ok
         (Telemetry.Span_close
-           { id; name; t_ns; dur_ns; alloc_b; minor_n; major_n; domain })
+           { id; name; t_ns; dur_ns; alloc_b; minor_n; major_n })
   | "counters" ->
       let* t_ns = int64_field j "t_ns" in
       let* values = int_values j "values" in
-      Ok (Telemetry.Counters { t_ns; domain; values })
+      Ok (Telemetry.Counters { t_ns; values })
   | "histograms" ->
       let* t_ns = int64_field j "t_ns" in
       let* kvs =
@@ -100,17 +86,17 @@ let event_of_json j : (Telemetry.event, string) result =
             Ok ((nm, h) :: acc))
           (Ok []) kvs
       in
-      Ok (Telemetry.Histograms { t_ns; domain; values = List.rev values })
+      Ok (Telemetry.Histograms { t_ns; values = List.rev values })
   | "provenance" ->
       let* t_ns = int64_field j "t_ns" in
       let* step = int_field j "step" in
       let* label = string_field j "label" in
       let* values = int_values j "values" in
-      Ok (Telemetry.Provenance { t_ns; domain; step; label; values })
+      Ok (Telemetry.Provenance { t_ns; step; label; values })
   | "message" ->
       let* t_ns = int64_field j "t_ns" in
       let* text = string_field j "text" in
-      Ok (Telemetry.Message { t_ns; domain; text })
+      Ok (Telemetry.Message { t_ns; text })
   | k -> Error (Printf.sprintf "unknown event kind %S" k)
 
 let parse_line line =
@@ -121,7 +107,7 @@ let parse_line line =
 let read_channel ?request ic =
   let events = ref [] and skipped = ref 0 and schema = ref None in
   (* Per-request event tally in first-seen order; the [req] field is
-     the additive slocal.trace/4 stamp, read at the JSON level because
+     the optional request stamp, read at the JSON level because
      parsed events do not carry it. *)
   let req_counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let req_order = ref [] in

@@ -1,4 +1,4 @@
-(** Read [slocal.trace/4] (and /3, /2, /1) JSONL traces back into
+(** Read [slocal.trace/5] JSONL traces back into
     {!Telemetry.event} values — the inverse of
     {!Telemetry.event_to_json}.
 
@@ -6,18 +6,13 @@
     truncated mid-object (a killed process), or carry an unknown
     event shape are skipped and counted rather than failing the whole
     trace, so [slocal trace report] degrades gracefully on damaged
-    files.  Unknown {e fields} on known kinds are ignored; additive
-    fields default when absent (traces from older writers): the
-    [alloc_b] field of [span_close] defaults to [0], the /2 [domain]
-    field defaults to [0] on every kind — /1 traces were
-    single-domain by construction — the /3 [minor_n]/[major_n]
-    GC-work deltas of [span_close] default to [0], and the /4 [req]
-    request id defaults to "no request".  A mixed /1 + /2 + /3 + /4
-    file (e.g. a concatenation) therefore reads cleanly, older events
-    landing on domain 0 with zero GC work and no request tag. *)
+    files.  Unknown {e fields} on known kinds are ignored.  Only the
+    current schema is read: a [span_close] without its [alloc_b],
+    [minor_n] and [major_n] fields (an older writer) is a damaged
+    line.  The optional [req] request id defaults to "no request". *)
 
 val schema_version : string
-(** ["slocal.trace/4"]. *)
+(** ["slocal.trace/5"]. *)
 
 type read_result = {
   events : Telemetry.event list;  (** In file order. *)

@@ -1,22 +1,17 @@
 (* The slocal serve daemon core: a JSONL request loop over a
    Unix-domain socket, one Telemetry.with_request window per work
-   request (DESIGN.md §10). *)
+   request (DESIGN.md §9). *)
 
 open Slocal_formalism
 module Json = Slocal_obs.Json
 module Ledger = Slocal_obs.Ledger
 module Telemetry = Slocal_obs.Telemetry
 module Openmetrics = Slocal_obs.Openmetrics
-module Gen = Slocal_graph.Graph_gen
-module Bipartite = Slocal_graph.Bipartite
 module Solver = Slocal_model.Solver
-module MF = Slocal_problems.Matching_family
-module CF = Slocal_problems.Coloring_family
-module RF = Slocal_problems.Ruling_family
-module Classic = Slocal_problems.Classic
 module Framework = Supported_local.Framework
 module Chk = Slocal_analysis.Check
 module Diagnostic = Slocal_analysis.Diagnostic
+module Spec = Slocal_analysis.Spec
 
 (* serve.requests/serve.errors tick inside the request window (so they
    take part in the per-request sum invariant); serve.connections,
@@ -30,59 +25,16 @@ let c_control = Telemetry.counter "serve.control"
 
 let out_of_window = [ "serve.connections"; "serve.heartbeats"; "serve.control" ]
 
-(* ------------------------------------------------------------------ *)
-(* Spec parsing, shared with the one-shot CLI (bin/slocal.ml delegates
-   here so the daemon and the CLI accept identical specs). *)
+(* Spec parsing is shared with the one-shot CLI ({!Slocal_analysis.Spec}),
+   so the daemon and the CLI accept identical specs; a bad spec fails
+   the request. *)
+let spec_or_fail parse spec =
+  match parse spec with
+  | Ok v -> v
+  | Error d -> invalid_arg (Format.asprintf "%a" Diagnostic.pp d)
 
-let parse_problem_spec spec =
-  let p =
-    match String.split_on_char ':' spec with
-    | [ "matching"; d; x; y ] ->
-        MF.pi ~delta:(int_of_string d) ~x:(int_of_string x) ~y:(int_of_string y)
-    | [ "mm"; d ] -> MF.maximal_matching ~delta:(int_of_string d)
-    | [ "arb"; d; c ] -> CF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
-    | [ "ruling"; d; c; b ] ->
-        RF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
-          ~beta:(int_of_string b)
-    | [ "so"; d ] -> Classic.sinkless_orientation ~delta:(int_of_string d)
-    | [ "col"; d; c ] ->
-        Classic.coloring ~delta:(int_of_string d) ~c:(int_of_string c)
-    | "file" :: rest ->
-        let path = String.concat ":" rest in
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        Problem.of_string text
-    | _ -> invalid_arg (Printf.sprintf "unknown problem spec %S" spec)
-  in
-  (* No-op unless a run context is open (kernel-facing subcommands). *)
-  Ledger.note_problem ~name:p.Problem.name ~hash:(Problem.canonical_hash p);
-  p
-
-let parse_graph_spec spec =
-  let bipartite_cycle k =
-    let g = Gen.cycle (2 * k) in
-    Bipartite.make g
-      (Array.init (2 * k) (fun v ->
-           if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
-  in
-  match String.split_on_char ':' spec with
-  | [ "cycle"; k ] -> bipartite_cycle (int_of_string k)
-  | [ "kbb"; a; b ] -> Gen.complete_bipartite (int_of_string a) (int_of_string b)
-  | [ "cover-petersen" ] -> Gen.double_cover (Gen.petersen ())
-  | [ "cover-random"; n; d; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
-      let c =
-        Gen.high_girth_low_independence rng ~n:(int_of_string n)
-          ~d:(int_of_string d) ()
-      in
-      Gen.double_cover c.Gen.graph
-  | [ "biregular"; nw; nb; dw; db; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
-      Gen.random_biregular rng ~nw:(int_of_string nw) ~nb:(int_of_string nb)
-        ~dw:(int_of_string dw) ~db:(int_of_string db)
-  | _ -> invalid_arg (Printf.sprintf "unknown graph spec %S" spec)
+let parse_problem_spec = spec_or_fail Spec.problem
+let parse_graph_spec = spec_or_fail Spec.graph
 
 let kernel_name = function
   | Re_step.Fast -> "fast"
@@ -92,7 +44,6 @@ let kernel_name = function
 (* Daemon state. *)
 
 type config = {
-  jobs : int;
   record : string option;
   request_ledger : string option;
   heartbeat : out_channel option;
@@ -101,7 +52,6 @@ type config = {
 
 let default_config =
   {
-    jobs = 1;
     record = None;
     request_ledger = None;
     heartbeat = None;
@@ -171,9 +121,6 @@ let require_string req k =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "missing field %S" k)
 
-let jobs_of st req =
-  max 1 (Option.value ~default:st.cfg.jobs (member_int req "jobs"))
-
 let opt_int_json = function Some v -> Json.Int v | None -> Json.Null
 
 let need_problem problems req =
@@ -215,8 +162,7 @@ let is_work_op = function
   | "re" | "sequence" | "solve" | "audit" -> true
   | _ -> false
 
-let run_op st ~problems ~kernel_used req op =
-  let jobs = jobs_of st req in
+let run_op ~problems ~kernel_used req op =
   let budget = member_int req "budget" in
   match op with
   | "re" ->
@@ -224,7 +170,7 @@ let run_op st ~problems ~kernel_used req op =
       let steps = max 1 (Option.value ~default:1 (member_int req "steps")) in
       let p = ref (need_problem problems req) in
       for _ = 1 to steps do
-        p := Re_step.re ~jobs !p
+        p := Re_step.re !p
       done;
       let q = !p in
       let base =
@@ -247,8 +193,8 @@ let run_op st ~problems ~kernel_used req op =
       with_kernel req kernel_used @@ fun () ->
       let steps = max 0 (Option.value ~default:1 (member_int req "steps")) in
       let p = need_problem problems req in
-      let seq = Sequence.iterate_re ~jobs p ~steps in
-      let verdict = Sequence.is_lower_bound_sequence ?max_nodes:budget ~jobs seq in
+      let seq = Sequence.iterate_re p ~steps in
+      let verdict = Sequence.is_lower_bound_sequence ?max_nodes:budget seq in
       Json.Obj
         [
           ("length", Json.Int (List.length seq));
@@ -261,31 +207,19 @@ let run_op st ~problems ~kernel_used req op =
   | "solve" ->
       let p = need_problem problems req in
       let g = parse_graph_spec (require_string req "graph") in
-      if jobs <= 1 then begin
-        let outcome, s = Solver.solve_stats ?max_nodes:budget g p in
-        Json.Obj
-          [
-            ("outcome", Json.String (outcome_name outcome));
-            ("nodes", Json.Int s.Solver.nodes);
-            ("backtracks", Json.Int s.Solver.backtracks);
-            ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
-          ]
-      end
-      else begin
-        let outcome, start =
-          Solver.solve_portfolio ?max_nodes:budget ~jobs ~starts:jobs g p
-        in
-        Json.Obj
-          [
-            ("outcome", Json.String (outcome_name outcome));
-            ("start", opt_int_json start);
-          ]
-      end
+      let outcome, s = Solver.solve_stats ?max_nodes:budget g p in
+      Json.Obj
+        [
+          ("outcome", Json.String (outcome_name outcome));
+          ("nodes", Json.Int s.Solver.nodes);
+          ("backtracks", Json.Int s.Solver.backtracks);
+          ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
+        ]
   | "audit" ->
       let p = need_problem problems req in
       let g = parse_graph_spec (require_string req "graph") in
       let k = max 1 (Option.value ~default:1 (member_int req "k")) in
-      let r = Framework.analyze ?max_nodes:budget ~jobs g ~last_problem:p ~k in
+      let r = Framework.analyze ?max_nodes:budget g ~last_problem:p ~k in
       let diags = Chk.audit ~support:g ~last_problem:p ~k r in
       Json.Obj
         [
@@ -395,7 +329,7 @@ let handle_request st req =
     let body, summary =
       Telemetry.with_request ~id (fun () ->
           Telemetry.incr c_requests;
-          match run_op st ~problems ~kernel_used req op with
+          match run_op ~problems ~kernel_used req op with
           | j -> Ok j
           | exception e ->
               Telemetry.incr c_errors;
@@ -412,7 +346,6 @@ let handle_request st req =
         rr_op = op;
         rr_problems = List.rev !problems;
         rr_kernel = !kernel_used;
-        rr_jobs = jobs_of st req;
         rr_wall_ns = Int64.to_int summary.Telemetry.rq_wall_ns;
         rr_alloc_b = summary.Telemetry.rq_alloc_b;
         rr_cache_hits = cdelta "re.cache_hits";

@@ -1,5 +1,5 @@
 (** The [slocal serve] daemon core: a long-lived request loop over a
-    Unix-domain socket, speaking a JSONL protocol (DESIGN.md §10), with
+    Unix-domain socket, speaking a JSONL protocol (DESIGN.md §9), with
     request-scoped observability.
 
     One process owns the warm state — the cross-invocation RE cache
@@ -8,7 +8,7 @@
     [sequence], [solve], [audit]) one at a time, each inside a
     {!Slocal_obs.Telemetry.with_request} window: trace events carry the
     request id, the response reports the window's own counter deltas,
-    wall time and allocation, and one [slocal.request/1] ledger record
+    wall time and allocation, and one [slocal.request/2] ledger record
     ({!Slocal_obs.Ledger.request_record}) is appended per request.
     {e Control} requests ([stats], [metrics], [shutdown]) run outside
     any window, so [stats] reads the registry at a quiescent point and
@@ -20,33 +20,19 @@
     {b Protocol.}  One JSON object per line in both directions.
     Request fields: [op] (required), [id] (optional, auto-assigned
     [rN]), [problem]/[graph] (spec strings, as on the CLI), [steps],
-    [jobs], [kernel], [budget], [k], [text].  Responses echo [id] and
+    [kernel], [budget], [k], [text].  Responses echo [id] and
     [op], carry [ok] plus [result] or [error], and — for work requests
     — the [request] record and the per-request [counters] object.
     Lines that are not valid JSON get an [ok:false] reply and touch no
     counter (they are not requests).
 
-    The daemon is single-threaded by design: parallelism happens
-    {e inside} a request (the [jobs] field fans kernel work out over
-    the shared {!Slocal_obs.Pool}), which is what keeps request
-    windows non-overlapping and their counter deltas disjoint. *)
+    The daemon is single-threaded by design, which is what keeps
+    request windows non-overlapping and their counter deltas
+    disjoint. *)
 
 open Slocal_formalism
 module Json = Slocal_obs.Json
 module Ledger = Slocal_obs.Ledger
-
-(** {1 Spec parsing} (shared with the one-shot CLI) *)
-
-val parse_problem_spec : string -> Problem.t
-(** Parse a problem spec ([matching:D:X:Y], [mm:D], [arb:D:C],
-    [ruling:D:C:B], [so:D], [col:D:C], [file:PATH]).  Notes the
-    problem into the run-ledger context when one is open.
-    @raise Invalid_argument on an unknown spec. *)
-
-val parse_graph_spec : string -> Slocal_graph.Bipartite.t
-(** Parse a graph spec ([cycle:K], [kbb:A:B], [cover-petersen],
-    [cover-random:N:D:SEED], [biregular:NW:NB:DW:DB:SEED]).
-    @raise Invalid_argument on an unknown spec. *)
 
 val kernel_name : Re_step.kernel -> string
 (** ["fast"] or ["reference"]. *)
@@ -54,12 +40,11 @@ val kernel_name : Re_step.kernel -> string
 (** {1 Daemon state} *)
 
 type config = {
-  jobs : int;  (** Default worker width for requests without [jobs]. *)
   record : string option;
       (** Append one [slocal.capture/1] line per work request (the
           request JSON plus its summary) to this file. *)
   request_ledger : string option;
-      (** Append one [slocal.request/1] record per work request. *)
+      (** Append one [slocal.request/2] record per work request. *)
   heartbeat : out_channel option;
       (** Emit throttled [\[serve\]] heartbeat lines (uptime, served,
           cache hit rate) here; [None] (default) disables them. *)
@@ -67,13 +52,12 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], no capture, no request ledger, no heartbeat, 500ms
+(** No capture, no request ledger, no heartbeat, 500ms
     heartbeat interval. *)
 
 type state
 (** One daemon's mutable state: served/error tallies, the summed
-    per-request counter deltas, the capture channel.  Confined to the
-    serving domain. *)
+    per-request counter deltas, the capture channel. *)
 
 val create : ?config:config -> unit -> state
 (** Also snapshots the telemetry registry as the baseline that the
@@ -131,7 +115,7 @@ val disconnect : conn -> unit
 
 val capture_schema_version : string
 (** ["slocal.capture/1"] — one object per line: [schema], the verbatim
-    [request], and the [summary] ([slocal.request/1]) it produced. *)
+    [request], and the [summary] ([slocal.request/2]) it produced. *)
 
 val read_capture : string -> (Json.t * Ledger.request_record option) list * int
 (** The captured requests in file order, each with its recorded

@@ -1,4 +1,4 @@
-type t = { mutable state : int64 } (* staticcheck: per-call explicit splittable generator; give each domain its own split *)
+type t = { mutable state : int64 } (* staticcheck: per-call explicit splittable generator; give each consumer its own split *)
 
 let golden = 0x9E3779B97F4A7C15L
 

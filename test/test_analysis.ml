@@ -775,8 +775,8 @@ let test_staticcheck_json_report () =
 
 (* The golden inventory over the real repository: the per-directory,
    per-code counts of the classified findings.  This pins the shape of
-   the shared-mutable-state map the multicore kernel will start from —
-   update it intentionally when state is added or removed. *)
+   the shared-mutable-state map — update it intentionally when state
+   is added or removed. *)
 let test_staticcheck_repo_inventory () =
   let root = "../../.." in
   let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
@@ -816,10 +816,10 @@ let test_staticcheck_repo_inventory () =
         (("bin", "SL055"), 1);
         (("lib/analysis", "SL051"), 1);
         (("lib/core", "SL051"), 1);
-        (("lib/formalism", "SL050"), 4);
+        (("lib/formalism", "SL050"), 3);
         (("lib/formalism", "SL051"), 2);
-        (("lib/obs", "SL050"), 21);
-        (("lib/obs", "SL051"), 4);
+        (("lib/obs", "SL050"), 19);
+        (("lib/obs", "SL051"), 3);
         (("lib/obs", "SL054"), 1);
         (("lib/obs", "SL055"), 1);
         (("lib/problems", "SL054"), 2);
@@ -907,24 +907,24 @@ module BR = Slocal_analysis.Bench_report
 let bench_doc s =
   match Json.of_string s with Ok j -> j | Error e -> Alcotest.fail e
 
-(* A minimal current-generation report: FIG1 and T15 carry the
-   allocation fields, E-PAR is a parallel experiment. *)
-let bench_report ~fig1_alloc ~t15_alloc ~epar_alloc =
+(* A minimal current-generation report: every experiment carries the
+   allocation fields. *)
+let bench_report ~fig1_alloc ~t15_alloc ~elift_alloc =
   bench_doc
     (Printf.sprintf
        {|{"schema":"slocal.bench/1","mode":"tables","quick":false,
           "experiments":[
             {"id":"FIG1","wall_ns":100,"alloc_b":%d,"minor_n":3,"major_n":1,
              "counters":{"re.enum_nodes":50}},
-            {"id":"E-PAR","wall_ns":100,"alloc_b":%d,"counters":{}},
+            {"id":"E-LIFT","wall_ns":100,"alloc_b":%d,"counters":{}},
             {"id":"T15","wall_ns":100,"alloc_b":%d,"counters":{}}],
           "benchmarks":[]}|}
-       fig1_alloc epar_alloc t15_alloc)
+       fig1_alloc elift_alloc t15_alloc)
 
 let test_bench_report_parse () =
-  let exps = BR.experiments_of (bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000) in
+  let exps = BR.experiments_of (bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~elift_alloc:5000) in
   check (Alcotest.list Alcotest.string) "experiment ids in file order"
-    [ "FIG1"; "E-PAR"; "T15" ]
+    [ "FIG1"; "E-LIFT"; "T15" ]
     (List.map (fun e -> e.BR.ex_id) exps);
   let fig1 = List.hd exps in
   check (Alcotest.option int_t) "alloc_b parsed" (Some 1000) fig1.BR.ex_alloc_b;
@@ -939,22 +939,29 @@ let test_bench_report_parse () =
     (BR.breaches ~ratio:BR.alloc_gate_ratio ~base:1000 ~cur:1021)
 
 let test_bench_alloc_gate () =
-  let baseline = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000 in
-  (* Within tolerance everywhere; E-PAR triples but is exempt. *)
+  let baseline = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~elift_alloc:5000 in
+  (* Within tolerance everywhere. *)
   let ok =
     BR.alloc_gate ~baseline
-      ~current:(bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~epar_alloc:15000)
+      ~current:(bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~elift_alloc:5000)
   in
   check int_t "three shared experiments checked" 3 (List.length ok.BR.checks);
   check (Alcotest.list Alcotest.string) "nothing skipped" [] ok.BR.skipped;
   check bool_t "no breach within tolerance" true
     (List.for_all (fun c -> not c.BR.ac_breach) ok.BR.checks);
-  check bool_t "the parallel experiment is exempt, not gated" true
-    (List.exists (fun c -> c.BR.ac_id = "E-PAR" && c.BR.ac_exempt) ok.BR.checks);
+  (* Every shared experiment is gated: a tripled E-LIFT breaches. *)
+  let tripled =
+    BR.alloc_gate ~baseline
+      ~current:(bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~elift_alloc:15000)
+  in
+  check bool_t "no experiment is exempt from the gate" true
+    (List.exists
+       (fun c -> c.BR.ac_id = "E-LIFT" && c.BR.ac_breach)
+       tripled.BR.checks);
   (* A 3% regression on a gated experiment breaches. *)
   let bad =
     BR.alloc_gate ~baseline
-      ~current:(bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~epar_alloc:5000)
+      ~current:(bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~elift_alloc:5000)
   in
   check bool_t "3% regression breaches" true
     (List.exists
@@ -980,12 +987,94 @@ let test_bench_forward_compat () =
   check bool_t "enum_nodes still extracted" true (BR.enum_nodes old <> []);
   let r =
     BR.alloc_gate ~baseline:old
-      ~current:(bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~epar_alloc:1)
+      ~current:(bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~elift_alloc:1)
   in
   check (Alcotest.list Alcotest.string) "older side: checked nothing" []
     (List.map (fun c -> c.BR.ac_id) r.BR.checks);
   check bool_t "shared experiments skipped-and-noted" true
     (List.mem "FIG1" r.BR.skipped && List.mem "T15" r.BR.skipped)
+
+(* ------------------------------------------------------------------ *)
+(* Spec: problem and graph spec strings parse into typed results *)
+
+module Spec = Slocal_analysis.Spec
+
+let string_t = Alcotest.string
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let sl000 what = function
+  | Ok _ -> Alcotest.failf "%s: expected an SL000 error" what
+  | Error d ->
+      check string_t (what ^ ": code") "SL000" d.D.code;
+      check bool_t (what ^ ": error severity") true (d.D.severity = D.Error)
+
+let test_spec_fixtures () =
+  (* Every checked-in .slp fixture, given as a file: spec, yields a
+     typed result — never an exception.  Only the undeclared-label
+     document is unusable; the others are lint findings, not parse
+     failures. *)
+  let files =
+    Sys.readdir "fixtures" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".slp")
+    |> List.sort compare
+  in
+  check bool_t "fixtures found" true (List.length files >= 6);
+  List.iter
+    (fun f ->
+      let spec = "file:" ^ fixture f in
+      match Spec.problem spec with
+      | Ok _ ->
+          check bool_t (f ^ " parses") true (f <> "undeclared_label.slp")
+      | Error _ as r ->
+          check string_t (f ^ " is the unusable one") "undeclared_label.slp" f;
+          sl000 f r
+      | exception e ->
+          Alcotest.failf "%s raised %s" f (Printexc.to_string e))
+    files
+
+let test_spec_errors () =
+  sl000 "unknown spec" (Spec.problem "nonsense:99");
+  sl000 "non-integer field" (Spec.problem "mm:x");
+  sl000 "missing file" (Spec.problem "file:fixtures/does_not_exist.slp");
+  sl000 "family rejects its parameters" (Spec.problem "mm:1");
+  sl000 "unknown graph spec" (Spec.graph "bogus");
+  sl000 "non-integer graph field" (Spec.graph "cycle:three");
+  check bool_t "a good problem spec parses" true
+    (Result.is_ok (Spec.problem "mm:3"));
+  check bool_t "a good graph spec parses" true
+    (Result.is_ok (Spec.graph "cycle:3"))
+
+let test_expansion_caps () =
+  (* A huge exponent used to run for seconds and die with a stack
+     overflow; the size cap rejects the line before any expansion. *)
+  let file = Filename.temp_file "slocal_caps" ".slp" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let oc = open_out file in
+  output_string oc "problem big\nlabels: M\nwhite:\n  M^100000000\nblack:\n  M\n";
+  close_out oc;
+  let t0 = Unix.gettimeofday () in
+  let r = Spec.problem ("file:" ^ file) in
+  let dt = Unix.gettimeofday () -. t0 in
+  sl000 "huge exponent" r;
+  (match r with
+  | Error d ->
+      check bool_t "the size cap is named" true
+        (contains d.D.message "max_config_size")
+  | Ok _ -> ());
+  check bool_t "rejected in under 1 s" true (dt < 1.0);
+  (* The count cap: 2^40 expanded configurations of size 40. *)
+  match
+    Problem.parse ~name:"wide" ~labels:[ "A"; "B" ] ~white:"[A B]^40"
+      ~black:"A"
+  with
+  | _ -> Alcotest.fail "an over-cap line must not parse"
+  | exception Invalid_argument msg ->
+      check bool_t "the count cap is named" true
+        (contains msg "max_line_configs")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1085,6 +1174,13 @@ let () =
           Alcotest.test_case "allocation gate" `Quick test_bench_alloc_gate;
           Alcotest.test_case "pre-alloc baseline forward-compat" `Quick
             test_bench_forward_compat;
+        ] );
+      ( "spec",
+        [
+          Alcotest.test_case "fixtures give typed results" `Quick
+            test_spec_fixtures;
+          Alcotest.test_case "bad specs are SL000" `Quick test_spec_errors;
+          Alcotest.test_case "expansion caps" `Quick test_expansion_caps;
         ] );
       ( "slp-lint",
         [

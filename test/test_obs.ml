@@ -326,7 +326,7 @@ let test_major_cycle_monitor () =
   let with_sink = majors () in
   check bool_t "alarm counts major cycles under a sink" true (with_sink >= 2);
   check bool_t "inter-cycle latency recorded" true
-    (H.count (Telemetry.histogram "gc.major_cycle_ns") >= 1);
+    (H.count (Telemetry.histogram "gc.major_interval_ns") >= 1);
   Telemetry.set_sink Telemetry.null_sink;
   Gc.full_major ();
   check int_t "alarm removed with the null sink" with_sink (majors ())
@@ -800,278 +800,31 @@ let test_progress_modes () =
     (Progress.heartbeat_count ())
 
 (* ------------------------------------------------------------------ *)
-(* Domains: per-domain shards, the deterministic merge, and the pool *)
+(* Trace reader: current schema only *)
 
 module Trace = Slocal_obs.Trace
-module Pool = Slocal_obs.Pool
 
-let test_shard_merge () =
-  with_clean_telemetry @@ fun () ->
-  let c = Telemetry.counter "test.shard.counter" in
-  let g = Telemetry.gauge "test.shard.gauge" in
-  Telemetry.add c 5;
-  Telemetry.set g 3;
-  H.record (Telemetry.histogram "test.shard.hist") 10;
-  let worker dc dg dh () =
-    Telemetry.add c dc;
-    Telemetry.set g dg;
-    H.record (Telemetry.histogram "test.shard.hist") dh
-  in
-  let d1 = Domain.spawn (worker 7 9 20) and d2 = Domain.spawn (worker 11 1 30) in
-  Domain.join d1;
-  Domain.join d2;
-  check int_t "counters sum across shards" 23 (Telemetry.value c);
-  check int_t "gauges take the per-domain max" 9 (Telemetry.value g);
-  check (Alcotest.option int_t) "snapshot reads the merge" (Some 23)
-    (List.assoc_opt "test.shard.counter" (Telemetry.snapshot ()));
-  let h = List.assoc "test.shard.hist" (Telemetry.histogram_snapshot ()) in
-  check int_t "histograms merge pointwise" 3 (H.count h);
-  check int_t "histogram max survives the merge" 30 (H.max_value h);
-  Telemetry.reset_metrics ();
-  check int_t "reset clears every shard" 0 (Telemetry.value c)
-
-let test_shard_merge_order_insensitive () =
-  with_clean_telemetry @@ fun () ->
-  (* The merge is a fold of per-shard values through (+) for counters
-     and max for gauges — associative and commutative — so the merged
-     reading must not depend on which domain wrote what, or in which
-     order the shards were created. *)
-  let c = Telemetry.counter "test.shard.order" in
-  let g = Telemetry.gauge "test.shard.order_gauge" in
-  let run_permutation vs =
-    Telemetry.reset_metrics ();
-    List.iter
-      (fun v ->
-        Domain.join
-          (Domain.spawn (fun () ->
-               Telemetry.add c v;
-               Telemetry.set g v)))
-      vs;
-    (Telemetry.value c, Telemetry.value g)
-  in
-  let a = run_permutation [ 1; 2; 3 ] in
-  let b = run_permutation [ 3; 1; 2 ] in
-  let d = run_permutation [ 2; 3; 1 ] in
-  check (Alcotest.pair int_t int_t) "permutation b" a b;
-  check (Alcotest.pair int_t int_t) "permutation c" a d;
-  check (Alcotest.pair int_t int_t) "sum and max" (6, 3) a
-
-let test_zero_across_shards () =
-  with_clean_telemetry @@ fun () ->
-  (* [set m 0] only writes the calling domain's shard, so counts
-     recorded by pool workers survive it — the bug behind negative
-     cache-counter deltas.  [zero] clears every shard. *)
-  let c = Telemetry.counter "test.zero.counter" in
-  Telemetry.add c 2;
-  ignore (Pool.run ~jobs:3 6 (fun i -> Telemetry.incr c; i));
-  check int_t "worker increments merged" 8 (Telemetry.value c);
-  Telemetry.set c 0;
-  check bool_t "set 0 leaves worker-shard residue" true (Telemetry.value c > 0);
-  Telemetry.zero c;
-  check int_t "zero clears every shard" 0 (Telemetry.value c)
-
-let test_pool_parity () =
-  with_clean_telemetry @@ fun () ->
-  let f i = (i * i) + 1 in
-  let seq = Pool.run ~jobs:1 20 f in
-  List.iter
-    (fun jobs ->
-      check bool_t
-        (Printf.sprintf "jobs=%d byte-identical" jobs)
-        true
-        (Pool.run ~jobs 20 f = seq))
-    [ 2; 3; 4 ];
-  check
-    (Alcotest.list string_t)
-    "map preserves order"
-    [ "1"; "2"; "3"; "4"; "5" ]
-    (Pool.map ~jobs:3 string_of_int [ 1; 2; 3; 4; 5 ]);
-  check bool_t "zero tasks" true (Pool.run ~jobs:4 0 f = [||]);
-  Alcotest.check_raises "negative task count"
-    (Invalid_argument "Pool.run: negative task count") (fun () ->
-      ignore (Pool.run ~jobs:2 (-1) f))
-
-let test_pool_counters () =
-  with_clean_telemetry @@ fun () ->
-  ignore (Pool.run ~jobs:3 12 (fun i -> i));
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  check int_t "par.tasks_submitted" 12 (v "par.tasks_submitted");
-  check int_t "par.tasks_completed" 12 (v "par.tasks_completed");
-  check int_t "par.merges counts joined workers" 2 (v "par.merges");
-  check int_t "par.jobs gauge" 3 (v "par.jobs");
-  check bool_t "par.tasks_stolen bounded by completed" true
-    (v "par.tasks_stolen" <= 12)
-
-let test_pool_exception () =
-  with_clean_telemetry @@ fun () ->
-  Alcotest.check_raises "first task exception re-raised after joins" Exit
-    (fun () -> ignore (Pool.run ~jobs:2 8 (fun i -> if i = 3 then raise Exit)))
-
-let test_pool_width_exceeds_tasks () =
-  with_clean_telemetry @@ fun () ->
-  (* More workers than tasks: the surplus workers find nothing to
-     claim and still join cleanly; accounting is unchanged. *)
-  check bool_t "results correct" true
-    (Pool.run ~jobs:8 3 (fun i -> i * 10) = [| 0; 10; 20 |]);
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  check int_t "submitted" 3 (v "par.tasks_submitted");
-  check int_t "completed" 3 (v "par.tasks_completed");
-  (* The pool clamps the width to the task count, so only
-     min(jobs, n) - 1 = 2 workers are ever spawned and merged. *)
-  check int_t "spawned workers merged" 2 (v "par.merges");
-  check int_t "width clamped to the task count" 3 (v "par.jobs");
-  check bool_t "region closed" false (Pool.parallel_active ())
-
-let test_pool_zero_tasks () =
-  with_clean_telemetry @@ fun () ->
-  check bool_t "empty result" true (Pool.run ~jobs:4 0 (fun i -> i) = [||]);
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  (* n <= 1 stays on the inline sequential path: no domains, no region. *)
-  check int_t "nothing submitted or merged" 0
-    (v "par.tasks_completed" + v "par.merges");
-  check bool_t "no region opened" false (Pool.parallel_active ())
-
-let test_pool_last_task_exception () =
-  with_clean_telemetry @@ fun () ->
-  (* The failing task is the LAST one, so the worker that claims it is
-     the last to steal work while the others are already draining; the
-     exception must still surface after every join, and the parallel
-     region must be closed on the way out. *)
-  Alcotest.check_raises "last-claimed task exception re-raised" Exit (fun () ->
-      ignore (Pool.run ~jobs:4 8 (fun i -> if i = 7 then raise Exit)));
-  check bool_t "region closed after exception" false (Pool.parallel_active ())
-
-let test_pool_cancellation () =
-  with_clean_telemetry @@ fun () ->
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  (* Sequential path: exact semantics — tasks after the stop are
-     skipped, their slots stay None, and par.tasks_cancelled counts
-     them. *)
-  let stop = Atomic.make false in
-  let r =
-    Pool.run_stoppable ~jobs:1 ~stop 10 (fun i ->
-        if i = 2 then Atomic.set stop true;
-        i)
-  in
-  check bool_t "prefix ran" true
-    (r.(0) = Some 0 && r.(1) = Some 1 && r.(2) = Some 2);
-  check bool_t "suffix skipped" true
-    (Array.for_all (( = ) None) (Array.sub r 3 7));
-  check int_t "cancelled = skipped tasks" 7 (v "par.tasks_cancelled");
-  (* Parallel path: the exact split is schedule-dependent, but the
-     books must balance — every submitted task is either completed
-     (with a Some slot) or cancelled (with a None slot). *)
-  Telemetry.reset_metrics ();
-  let stop = Atomic.make false in
-  let r =
-    Pool.run_stoppable ~jobs:3 ~stop 20 (fun i ->
-        if i = 2 then Atomic.set stop true;
-        i)
-  in
-  let some = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 r in
-  check int_t "completed = Some slots" some (v "par.tasks_completed");
-  check int_t "completed + cancelled = submitted" 20
-    (some + v "par.tasks_cancelled");
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Some x -> check int_t "slot holds its own index" i x
-      | None -> ())
-    r;
-  check bool_t "stop observed" true (Atomic.get stop)
-
-let test_pool_nested_run () =
-  with_clean_telemetry @@ fun () ->
-  (* A task that calls Pool.run again must not deadlock or oversubscribe:
-     the inner parallel request degrades to the sequential path (counted
-     in par.nested_runs) and still returns correct results. *)
-  let r =
-    Pool.run ~jobs:2 4 (fun i ->
-        Array.to_list (Pool.run ~jobs:3 3 (fun j -> (10 * i) + j)))
-  in
-  check bool_t "nested results correct" true
-    (r = [| [ 0; 1; 2 ]; [ 10; 11; 12 ]; [ 20; 21; 22 ]; [ 30; 31; 32 ] |]);
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  check bool_t "nested parallel requests degraded and were counted" true
-    (v "par.nested_runs" >= 1);
-  (* Only the outer region spawned domains. *)
-  check int_t "merges from the outer run only" 1 (v "par.merges");
-  check bool_t "region closed" false (Pool.parallel_active ())
-
-let test_jsonl_multi_domain () =
-  with_clean_telemetry @@ fun () ->
-  let file = Filename.temp_file "slocal_trace2" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let oc = open_out file in
-  Telemetry.set_sink (Telemetry.jsonl_sink oc);
-  ignore (Pool.run ~jobs:3 6 (fun i -> Telemetry.span "task" (fun () -> i)));
-  Telemetry.set_sink Telemetry.null_sink;
-  close_out oc;
-  let r = Trace.read_file file in
-  check int_t "no damaged lines" 0 r.Trace.skipped;
-  check (Alcotest.option string_t) "schema is slocal.trace/4"
-    (Some "slocal.trace/4") r.Trace.schema;
-  let domains =
-    List.sort_uniq compare (List.map Telemetry.event_domain r.Trace.events)
-  in
-  check bool_t "at least two distinct domain ids" true
-    (List.length domains >= 2);
-  (* Every worker's span_open/span_close pairs balance per domain. *)
-  List.iter
-    (fun d ->
-      let count k =
-        List.length
-          (List.filter
-             (fun e ->
-               Telemetry.event_domain e = d
-               &&
-               match (e, k) with
-               | Telemetry.Span_open _, `O | Telemetry.Span_close _, `C -> true
-               | _ -> false)
-             r.Trace.events)
-      in
-      check int_t
-        (Printf.sprintf "domain %d spans balanced" d)
-        (count `O) (count `C))
-    domains
-
-let test_mixed_schema_trace () =
-  (* A /1 prefix (no domain fields), a /2 middle (domain, no GC-work
-     deltas) and a /3 tail concatenated must read cleanly: legacy
-     events default to domain 0 and zero GC work. *)
-  let file = Filename.temp_file "slocal_mixed" ".jsonl" in
+let test_legacy_trace_lines_skipped () =
+  (* The reader accepts only the current schema: a span_close from an
+     older writer (no GC-work fields) is a damaged line, while the
+     current-schema lines around it still parse. *)
+  let file = Filename.temp_file "slocal_legacy" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let oc = open_out file in
   List.iter
     (fun l -> output_string oc (l ^ "\n"))
     [
-      {|{"kind":"trace_start","t_ns":1,"schema":"slocal.trace/1"}|};
-      {|{"kind":"span_open","id":1,"parent":null,"name":"legacy","t_ns":2}|};
-      {|{"kind":"span_close","id":1,"name":"legacy","t_ns":5,"dur_ns":3,"alloc_b":0}|};
-      {|{"kind":"span_open","id":2,"parent":null,"name":"tagged","t_ns":6,"domain":4}|};
-      {|{"kind":"span_close","id":2,"name":"tagged","t_ns":9,"dur_ns":3,"alloc_b":0,"domain":4}|};
-      {|{"kind":"span_open","id":3,"parent":null,"name":"gcwork","t_ns":10,"domain":4}|};
-      {|{"kind":"span_close","id":3,"name":"gcwork","t_ns":15,"dur_ns":5,"alloc_b":128,"minor_n":2,"major_n":1,"domain":4}|};
+      {|{"kind":"trace_start","t_ns":1,"schema":"slocal.trace/5"}|};
+      {|{"kind":"span_open","id":1,"parent":null,"name":"old","t_ns":2}|};
+      {|{"kind":"span_close","id":1,"name":"old","t_ns":5,"dur_ns":3,"alloc_b":0}|};
+      {|{"kind":"span_open","id":2,"parent":null,"name":"new","t_ns":6}|};
+      {|{"kind":"span_close","id":2,"name":"new","t_ns":9,"dur_ns":3,"alloc_b":128,"minor_n":2,"major_n":1}|};
     ];
   close_out oc;
   let r = Trace.read_file file in
-  check int_t "all lines parse" 0 r.Trace.skipped;
-  check int_t "seven events" 7 (List.length r.Trace.events);
-  check
-    (Alcotest.list int_t)
-    "legacy events default to domain 0, tagged keep theirs"
-    [ 0; 0; 0; 4; 4; 4; 4 ]
-    (List.map Telemetry.event_domain r.Trace.events);
+  check int_t "the legacy close is skipped" 1 r.Trace.skipped;
+  check (Alcotest.option string_t) "schema" (Some "slocal.trace/5")
+    r.Trace.schema;
   let closes =
     List.filter_map
       (function
@@ -1083,10 +836,8 @@ let test_mixed_schema_trace () =
   check
     (Alcotest.list
        (Alcotest.pair Alcotest.string (Alcotest.triple int_t int_t int_t)))
-    "GC-work deltas default to 0 on legacy closes, survive on /3"
-    [
-      ("legacy", (0, 0, 0)); ("tagged", (0, 0, 0)); ("gcwork", (128, 2, 1));
-    ]
+    "the current-schema close keeps its GC-work deltas"
+    [ ("new", (128, 2, 1)) ]
     closes
 
 let test_progress_dropped () =
@@ -1251,28 +1002,10 @@ let () =
           Alcotest.test_case "dropped ticks under throttle" `Quick
             test_progress_dropped;
         ] );
-      ( "domains",
+      ( "trace",
         [
-          Alcotest.test_case "shard merge" `Quick test_shard_merge;
-          Alcotest.test_case "merge order-insensitive" `Quick
-            test_shard_merge_order_insensitive;
-          Alcotest.test_case "zero clears all shards" `Quick
-            test_zero_across_shards;
-          Alcotest.test_case "pool parity" `Quick test_pool_parity;
-          Alcotest.test_case "pool accounting" `Quick test_pool_counters;
-          Alcotest.test_case "pool exception" `Quick test_pool_exception;
-          Alcotest.test_case "width exceeds task count" `Quick
-            test_pool_width_exceeds_tasks;
-          Alcotest.test_case "zero tasks" `Quick test_pool_zero_tasks;
-          Alcotest.test_case "exception in the last task" `Quick
-            test_pool_last_task_exception;
-          Alcotest.test_case "cancellation mid-batch" `Quick
-            test_pool_cancellation;
-          Alcotest.test_case "nested run degrades" `Quick test_pool_nested_run;
-          Alcotest.test_case "multi-domain jsonl trace" `Quick
-            test_jsonl_multi_domain;
-          Alcotest.test_case "mixed /1 + /2 + /3 trace" `Quick
-            test_mixed_schema_trace;
+          Alcotest.test_case "legacy schema lines skipped" `Quick
+            test_legacy_trace_lines_skipped;
         ] );
       ( "requests",
         [

@@ -1,6 +1,6 @@
 (* Tests for the trace-analysis pipeline: event capture → span tree →
    self/cumulative times, folded stacks, tolerant JSONL reading, the
-   sequence provenance events, and the slocal.profile/1 document.
+   sequence provenance events, and the slocal.profile/2 document.
    Includes the histogram-merge associativity property (Proptest). *)
 
 module Json = Slocal_obs.Json
@@ -258,143 +258,27 @@ let test_profile_json () =
   check bool_t "tree present" true (Json.member "tree" doc <> None);
   check bool_t "totals present" true (Json.member "totals" doc <> None);
   check bool_t "folded present" true (Json.member "folded" doc <> None);
-  check bool_t "domains present" true (Json.member "domains" doc <> None);
-  (match Json.member "timeline" doc with
-  | Some tl ->
-      check bool_t "timeline has utilization_ppm" true
-        (Option.bind (Json.member "utilization_ppm" tl) Json.as_int <> None);
-      check bool_t "timeline has lanes" true (Json.member "lanes" tl <> None)
-  | None -> Alcotest.fail "timeline absent from the document")
+  check bool_t "no domains or timeline fields" true
+    (Json.member "domains" doc = None && Json.member "timeline" doc = None)
 
 (* ------------------------------------------------------------------ *)
-(* Multi-domain traces: per-domain span trees and the timeline *)
+(* Allocation accounting *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* A hand-built two-domain trace with known geometry:
-   domain 0: a [0,100] with child c [20,40]; domain 1: b [10,60].
-   Window [0,110] (a trailing counters event extends it). *)
-let two_domain_events () =
-  let o id parent name t d =
-    Telemetry.Span_open
-      { id; parent; name; t_ns = Int64.of_int t; domain = d }
-  in
-  let c id name t0 t d =
-    Telemetry.Span_close
-      {
-        id;
-        name;
-        t_ns = Int64.of_int t;
-        dur_ns = Int64.of_int (t - t0);
-        alloc_b = 0;
-        minor_n = 0;
-        major_n = 0;
-        domain = d;
-      }
-  in
-  [
-    Telemetry.Trace_start { t_ns = 0L; domain = 0 };
-    o 1 None "a" 0 0;
-    o 2 None "b" 10 1;
-    o 3 (Some 1) "c" 20 0;
-    Telemetry.Counters { t_ns = 25L; domain = 1; values = [ ("k", 5) ] };
-    c 3 "c" 20 40 0;
-    c 2 "b" 10 60 1;
-    c 1 "a" 0 100 0;
-    Telemetry.Counters { t_ns = 110L; domain = 0; values = [ ("k", 5) ] };
-  ]
 
-let test_multi_domain_tree () =
-  let t = Profile.of_events (two_domain_events ()) in
-  check (Alcotest.list int_t) "domains recorded" [ 0; 1 ] t.Profile.domains;
-  check int_t "a and b are roots" 2 (List.length t.Profile.roots);
-  let a = List.find (fun s -> s.Profile.name = "a") t.Profile.roots in
-  check int_t "a keeps its child across the interleave" 1
-    (List.length a.Profile.children);
-  check int_t "a is domain 0" 0 a.Profile.domain;
-  (* Per-domain open stacks: the snapshot at t=25 arrives from domain
-     1, so its delta belongs to b — even though c (domain 0) opened
-     more recently. *)
-  (match List.assoc_opt "b" t.Profile.attribution with
-  | Some kvs ->
-      check (Alcotest.option int_t) "delta charged to b" (Some 5)
-        (List.assoc_opt "k" kvs)
-  | None -> Alcotest.fail "no attribution for b");
-  check bool_t "nothing charged to c" true
-    (List.assoc_opt "c" t.Profile.attribution = None);
-  check
-    (Alcotest.list string_t)
-    "domain-0 critical path" [ "a"; "c" ]
-    (List.map
-       (fun s -> s.Profile.name)
-       (Profile.critical_path ~domain:0 t));
-  check
-    (Alcotest.list string_t)
-    "domain-1 critical path" [ "b" ]
-    (List.map
-       (fun s -> s.Profile.name)
-       (Profile.critical_path ~domain:1 t));
-  check int_t "per-domain totals see one domain" 1
-    (List.length (Profile.totals ~domain:1 t))
-
-let test_timeline_geometry () =
-  let t = Profile.of_events (two_domain_events ()) in
-  let tl = Profile.timeline t in
-  check int_t "wall is the trace window" 110 tl.Profile.tl_wall_ns;
-  check int_t "two lanes" 2 (List.length tl.Profile.tl_lanes);
-  check
-    (Alcotest.list int_t)
-    "lane busy times" [ 100; 50 ]
-    (List.map (fun l -> l.Profile.lane_busy_ns) tl.Profile.tl_lanes);
-  check int_t "max concurrency" 2 tl.Profile.tl_max_concurrency;
-  (* [0,10): a alone; [10,60): a+b; [60,100): a alone; [100,110): idle. *)
-  check
-    (Alcotest.list (Alcotest.pair int_t int_t))
-    "concurrent-busy-domains histogram"
-    [ (0, 10); (1, 50); (2, 50) ]
-    tl.Profile.tl_busy_hist;
-  check (Alcotest.float 1e-9) "utilization = busy / (wall × lanes)"
-    (150. /. 220.) tl.Profile.tl_utilization;
-  check (Alcotest.float 1e-9) "serial fraction = time at level ≤ 1"
-    (60. /. 110.) tl.Profile.tl_serial_fraction
-
-let test_timeline_single_domain () =
-  (* A live single-domain workload degrades to one lane, no
-     concurrency, serial fraction 1. *)
-  let t = Profile.of_events (collect_workload ()) in
-  let tl = Profile.timeline t in
-  check int_t "one lane" 1 (List.length tl.Profile.tl_lanes);
-  check int_t "max concurrency 1" 1 tl.Profile.tl_max_concurrency;
-  check (Alcotest.float 1e-9) "serial fraction 1" 1. tl.Profile.tl_serial_fraction;
-  check bool_t "utilization within (0, 1]" true
-    (tl.Profile.tl_utilization > 0. && tl.Profile.tl_utilization <= 1.)
-
-let test_timeline_render () =
-  let t = Profile.of_events (two_domain_events ()) in
-  let out = Format.asprintf "%a" Profile.pp_timeline t in
-  check bool_t "prints a utilization figure" true (contains out "utilization");
-  check bool_t "prints a lane per domain" true
-    (contains out "lane domain 0" && contains out "lane domain 1");
-  check bool_t "prints the serial fraction" true (contains out "serial fraction");
-  check bool_t "prints per-domain critical paths" true
-    (contains out "critical path (domain 1)")
-
-(* ------------------------------------------------------------------ *)
-(* Allocation accounting *)
-
-(* The two-domain geometry with allocation attached: a [0,100]
-   allocates 1000B cumulative (2 minor / 1 major collections), its
-   child c [20,40] accounts for 300B of those (1 minor); b [10,60] on
-   domain 1 allocates 500B (1 minor). *)
+(* Two roots with allocation attached: a [0,100] allocates 1000B
+   cumulative (2 minor / 1 major collections), its child c [20,40]
+   accounts for 300B of those (1 minor); b [10,60] allocates 500B
+   (1 minor). *)
 let alloc_events () =
-  let o id parent name t d =
-    Telemetry.Span_open
-      { id; parent; name; t_ns = Int64.of_int t; domain = d }
+  let o id parent name t =
+    Telemetry.Span_open { id; parent; name; t_ns = Int64.of_int t }
   in
-  let c id name t0 t d alloc_b minor_n major_n =
+  let c id name t0 t alloc_b minor_n major_n =
     Telemetry.Span_close
       {
         id;
@@ -404,17 +288,16 @@ let alloc_events () =
         alloc_b;
         minor_n;
         major_n;
-        domain = d;
       }
   in
   [
-    Telemetry.Trace_start { t_ns = 0L; domain = 0 };
-    o 1 None "a" 0 0;
-    o 2 None "b" 10 1;
-    o 3 (Some 1) "c" 20 0;
-    c 3 "c" 20 40 0 300 1 0;
-    c 2 "b" 10 60 1 500 1 0;
-    c 1 "a" 0 100 0 1000 2 1;
+    Telemetry.Trace_start { t_ns = 0L };
+    o 1 None "a" 0;
+    o 2 None "b" 10;
+    o 3 (Some 1) "c" 20;
+    c 3 "c" 20 40 300 1 0;
+    c 2 "b" 10 60 500 1 0;
+    c 1 "a" 0 100 1000 2 1;
   ]
 
 let test_alloc_accounting () =
@@ -449,30 +332,19 @@ let test_alloc_accounting () =
   check int_t "totals partition self bytes" (Profile.total_self_alloc_b t)
     (List.fold_left (fun a g -> a + g.Profile.self_alloc_total_b) 0 totals)
 
-let test_alloc_critical_path_and_lanes () =
+let test_alloc_critical_path () =
   let t = Profile.of_events (alloc_events ()) in
   check
     (Alcotest.list string_t)
     "allocation critical path follows the heaviest-allocating chain"
     [ "a"; "c" ]
     (List.map (fun s -> s.Profile.name) (Profile.critical_path_alloc t));
-  check
-    (Alcotest.list string_t)
-    "per-domain allocation path" [ "b" ]
-    (List.map
-       (fun s -> s.Profile.name)
-       (Profile.critical_path_alloc ~domain:1 t));
   let fa = Profile.folded_alloc t in
   check int_t "folded-alloc weights sum to self bytes"
     (Profile.total_self_alloc_b t)
     (List.fold_left (fun a (_, v) -> a + v) 0 fa);
   check (Alcotest.option int_t) "child stack carries its bytes" (Some 300)
-    (List.assoc_opt "a;c" fa);
-  let tl = Profile.timeline t in
-  check
-    (Alcotest.list int_t)
-    "lane allocation totals" [ 1000; 500 ]
-    (List.map (fun l -> l.Profile.lane_alloc_b) tl.Profile.tl_lanes)
+    (List.assoc_opt "a;c" fa)
 
 let test_alloc_clamp () =
   (* A malformed trace (child claims more bytes than its parent) must
@@ -490,7 +362,6 @@ let test_alloc_clamp () =
               alloc_b = 5000;
               minor_n = 0;
               major_n = 0;
-              domain = 0;
             }
         in
         [ ts; oa; ob; oc; cc; cb; ca ]
@@ -524,9 +395,7 @@ let test_alloc_render () =
   check bool_t "prints the allocation profile header" true
     (contains out "allocation profile");
   check bool_t "prints the partition check" true
-    (contains out "self-allocation total");
-  check bool_t "prints allocation lanes with rates" true
-    (contains out "lane domain 0" && contains out "/s")
+    (contains out "self-allocation total")
 
 (* ------------------------------------------------------------------ *)
 (* Property: histogram merge is associative (and commutative) *)
@@ -572,7 +441,7 @@ let test_merge_associative () =
          && H.equal ha (hist_of_list a)))
 
 (* ------------------------------------------------------------------ *)
-(* Per-request filtering (slocal.trace/4) *)
+(* Per-request filtering (the req trace field) *)
 
 let write_request_trace () =
   let file = Filename.temp_file "slocal_profile_req" ".jsonl" in
@@ -652,27 +521,18 @@ let () =
           Alcotest.test_case "provenance events" `Quick
             test_sequence_provenance;
         ] );
-      ( "domains",
-        [
-          Alcotest.test_case "per-domain span trees" `Quick
-            test_multi_domain_tree;
-          Alcotest.test_case "timeline geometry" `Quick test_timeline_geometry;
-          Alcotest.test_case "single-domain degenerate" `Quick
-            test_timeline_single_domain;
-          Alcotest.test_case "timeline rendering" `Quick test_timeline_render;
-        ] );
       ( "alloc",
         [
           Alcotest.test_case "self vs cumulative bytes" `Quick
             test_alloc_accounting;
-          Alcotest.test_case "critical path and lanes" `Quick
-            test_alloc_critical_path_and_lanes;
+          Alcotest.test_case "critical path and folded stacks" `Quick
+            test_alloc_critical_path;
           Alcotest.test_case "malformed trace clamps" `Quick test_alloc_clamp;
           Alcotest.test_case "live invariant" `Quick test_alloc_invariant_live;
           Alcotest.test_case "rendering" `Quick test_alloc_render;
         ] );
       ( "document",
-        [ Alcotest.test_case "slocal.profile/1" `Quick test_profile_json ] );
+        [ Alcotest.test_case "slocal.profile/2" `Quick test_profile_json ] );
       ( "requests",
         [
           Alcotest.test_case "per-request filtering" `Quick

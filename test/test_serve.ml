@@ -102,7 +102,7 @@ let test_work_op_error_record () =
   let r = ask st {|{"op":"re","problem":"bogus:9"}|} in
   check bool_t "bad spec refused" false (is_ok r);
   (* A failed work op still ran inside a window and still yields its
-     slocal.request/1 record, marked as an error. *)
+     slocal.request/2 record, marked as an error. *)
   (match Option.map Ledger.request_of_json (member "request" r) with
   | Some (Ok rr) ->
       check string_t "outcome is error" "error" rr.Ledger.rr_outcome;
@@ -146,12 +146,12 @@ let test_request_isolation () =
   with_clean_telemetry @@ fun () ->
   let before = Telemetry.snapshot () in
   let st = Serve.create () in
-  (* Three windows on one warm daemon: cold, warm, cold-again on a
-     different problem — and one parallel request. *)
+  (* Four windows on one warm daemon: cold, warm, cold-again on a
+     different problem, and a sequence. *)
   let r1 = ask st {|{"op":"re","problem":"mm:2"}|} in
   let r2 = ask st {|{"op":"re","problem":"mm:2"}|} in
   let r3 = ask st {|{"op":"re","problem":"arb:3:2"}|} in
-  let r4 = ask st {|{"op":"sequence","problem":"matching:2:0:1","steps":2,"jobs":2}|} in
+  let r4 = ask st {|{"op":"sequence","problem":"matching:2:0:1","steps":2}|} in
   List.iter (fun r -> check bool_t "request ok" true (is_ok r)) [ r1; r2; r3; r4 ];
   let deltas = List.map counters_of [ r1; r2; r3; r4 ] in
   (* Disjoint cache attribution. *)
@@ -161,10 +161,8 @@ let test_request_isolation () =
   check bool_t "r3 misses only" true
     (assoc0 "re.cache_misses" (List.nth deltas 2) > 0
     && assoc0 "re.cache_hits" (List.nth deltas 2) = 0);
-  (* The parallel request attributes its pool traffic to its own
-     window. *)
-  check bool_t "r4 charged its pool tasks" true
-    (assoc0 "par.tasks_submitted" (List.nth deltas 3) > 0);
+  check bool_t "r4 charged its sequence steps" true
+    (assoc0 "sequence.steps" (List.nth deltas 3) > 0);
   (* The per-request deltas sum exactly to the global registry delta:
      nothing ran outside a window, so the merged response counters
      equal the registry's movement, counter by counter. *)
@@ -224,7 +222,7 @@ let test_capture_replay_20 () =
       | Some rr -> check string_t "recorded outcome" "ok" rr.Ledger.rr_outcome
       | None -> Alcotest.fail "capture line lost its summary")
     items;
-  (* One slocal.request/1 ledger record per work request, in order. *)
+  (* One slocal.request/2 ledger record per work request, in order. *)
   let records, lskipped = Ledger.read_requests_file ledger in
   check int_t "no skipped ledger lines" 0 lskipped;
   check int_t "20 ledger records" 20 (List.length records);
@@ -280,7 +278,6 @@ let test_mixed_schema_ledger () =
       rr_op = "re";
       rr_problems = [ ("mm3", 42) ];
       rr_kernel = Some "fast";
-      rr_jobs = 1;
       rr_wall_ns = 5_000;
       rr_alloc_b = 1_024;
       rr_cache_hits = 3;
