@@ -1071,9 +1071,12 @@ let gen_cmd =
     let rng = Slocal_util.Prng.create seed in
     let c = Gen.high_girth_low_independence rng ~n ~d () in
     let g = c.Gen.graph in
-    Format.printf "generated %d-regular graph: n=%d girth=%s independence<=%d (%s)@."
+    Format.printf
+      "generated %d-regular graph: n=%d girth=%s (target %d: %s) independence<=%d (%s)@."
       d (Graph.n g)
       (match c.Gen.girth with None -> "∞" | Some x -> string_of_int x)
+      c.Gen.girth_target
+      (Gen.girth_outcome_to_string c.Gen.girth_outcome)
       c.Gen.independence_upper
       (if c.Gen.independence_exact then "exact" else "matching bound");
     Format.printf "Lemma 2.1 target: girth >= ε·log_Δ n = %.2f·ε, independence <= α·%.2f@."

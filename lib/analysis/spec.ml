@@ -2,6 +2,7 @@ open Slocal_formalism
 module Gen = Slocal_graph.Graph_gen
 module Bipartite = Slocal_graph.Bipartite
 module Ledger = Slocal_obs.Ledger
+module Telemetry = Slocal_obs.Telemetry
 module MF = Slocal_problems.Matching_family
 module CF = Slocal_problems.Coloring_family
 module RF = Slocal_problems.Ruling_family
@@ -66,6 +67,11 @@ let graph spec =
   | [ "cover-random"; n; d; seed ] ->
       let rng = Slocal_util.Prng.create (int seed) in
       let c = Gen.high_girth_low_independence rng ~n:(int n) ~d:(int d) () in
+      Telemetry.message
+        (Printf.sprintf "%s: base girth %s, target %d %s" spec
+           (match c.Gen.girth with None -> "∞" | Some x -> string_of_int x)
+           c.Gen.girth_target
+           (Gen.girth_outcome_to_string c.Gen.girth_outcome));
       Gen.double_cover c.Gen.graph
   | [ "biregular"; nw; nb; dw; db; seed ] ->
       let rng = Slocal_util.Prng.create (int seed) in

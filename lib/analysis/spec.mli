@@ -13,4 +13,6 @@ val problem : string -> (Slocal_formalism.Problem.t, Diagnostic.t) result
 
 val graph : string -> (Slocal_graph.Bipartite.t, Diagnostic.t) result
 (** Parse a graph spec ([cycle:K], [kbb:A:B], [cover-petersen],
-    [cover-random:N:D:SEED], [biregular:NW:NB:DW:DB:SEED]). *)
+    [cover-random:N:D:SEED], [biregular:NW:NB:DW:DB:SEED]).
+    [cover-random] sends its base graph's measured girth, target and
+    {!Slocal_graph.Graph_gen.girth_outcome} as a trace message. *)

@@ -1,3 +1,5 @@
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   n : int;
   edges : (int * int) array;
@@ -6,7 +8,9 @@ type t = {
 
 let create ~n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative n";
-  let seen = Hashtbl.create (List.length edge_list) in
+  (* Duplicates are detected on the int key [u*n + v] of the
+     normalized pair: cheaper to hash than the tuple. *)
+  let seen = Int_tbl.create (List.length edge_list) in
   let norm (u, v) =
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.create: vertex out of range";
@@ -16,9 +20,10 @@ let create ~n edge_list =
   let edges =
     List.map
       (fun e ->
-        let e = norm e in
-        if Hashtbl.mem seen e then invalid_arg "Graph.create: duplicate edge";
-        Hashtbl.add seen e ();
+        let ((u, v) as e) = norm e in
+        let key = (u * n) + v in
+        if Int_tbl.mem seen key then invalid_arg "Graph.create: duplicate edge";
+        Int_tbl.add seen key ();
         e)
       edge_list
   in

@@ -1,5 +1,6 @@
 module Prng = Slocal_util.Prng
 module Telemetry = Slocal_obs.Telemetry
+module Int_tbl = Hashtbl.Make (Int)
 
 let c_gen_attempts = Telemetry.counter "graph.gen_attempts"
 let c_repair_sweeps = Telemetry.counter "graph.repair_sweeps"
@@ -112,17 +113,18 @@ let random_tree rng n =
    a handful of sweeps. *)
 let pairing_to_simple ?(oriented = false) rng ~pairs ~endpoint ~max_sweeps =
   let npairs = Array.length pairs in
-  (* Count duplicates via a table instead of a quadratic scan. *)
+  (* Count duplicates via a table instead of a quadratic scan, keyed
+     on the normalized endpoint pair packed into one int. *)
   let edge_key p =
     let u, v = pairs.(p) in
     let a = endpoint u and b = endpoint v in
-    if a < b then (a, b) else (b, a)
+    if a < b then (a lsl 30) lor b else (b lsl 30) lor a
   in
   let rebuild_counts () =
-    let tbl = Hashtbl.create (2 * npairs) in
+    let tbl = Int_tbl.create (2 * npairs) in
     for p = 0 to npairs - 1 do
       let k = edge_key p in
-      Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+      Int_tbl.replace tbl k (1 + Option.value (Int_tbl.find_opt tbl k) ~default:0)
     done;
     tbl
   in
@@ -135,8 +137,8 @@ let pairing_to_simple ?(oriented = false) rng ~pairs ~endpoint ~max_sweeps =
     let bad_list = ref [] in
     for p = 0 to npairs - 1 do
       let u, v = pairs.(p) in
-      let a, b = edge_key p in
-      if endpoint u = endpoint v || a = b || Hashtbl.find counts (a, b) > 1 then
+      let k = edge_key p in
+      if endpoint u = endpoint v || Int_tbl.find counts k > 1 then
         bad_list := p :: !bad_list
     done;
     if !bad_list = [] then ok := true
@@ -302,58 +304,35 @@ let rec random_biregular rng ~nw ~nb ~dw ~db =
   go 0
   end
 
-(* One degree-preserving 2-swap targeting an edge of a shortest cycle:
-   replace {u,v}, {x,y} by {u,x}, {v,y} when that keeps the graph
-   simple.  Swaps preserve the degree sequence. *)
-let try_swap rng g =
-  match Girth.shortest_cycle g with
-  | None | Some [] -> None
-  | Some (c0 :: rest) ->
-      let cyc = Array.of_list (c0 :: rest) in
-      let k = Array.length cyc in
-      let i = Prng.int rng k in
-      let u = cyc.(i) and v = cyc.((i + 1) mod k) in
-      let m = Graph.m g in
-      let rec pick tries =
-        if tries = 0 then None
-        else begin
-          let e = Prng.int rng m in
-          let x, y = Graph.edge g e in
-          let x, y = if Prng.bool rng then (x, y) else (y, x) in
-          if x = u || x = v || y = u || y = v then pick (tries - 1)
-          else if Graph.mem_edge g u x || Graph.mem_edge g v y then pick (tries - 1)
-          else Some (x, y)
-        end
-      in
-      (match pick 64 with
-      | None -> None
-      | Some (x, y) ->
-          let old1 = if u < v then (u, v) else (v, u) in
-          let old2 = if x < y then (x, y) else (y, x) in
-          let keep (a, b) =
-            let e = if a < b then (a, b) else (b, a) in
-            e <> old1 && e <> old2
-          in
-          let edges =
-            Array.to_list (Graph.edges g) |> List.filter keep
-          in
-          Some (Graph.create ~n:(Graph.n g) ((u, x) :: (v, y) :: edges)))
-
+(* Random degree-preserving 2-swaps on edges of short cycles, each
+   kept only if it creates no short cycle (see {!Girth_repair}). *)
 let improve_girth rng g ~min_girth ~max_steps =
-  let girth_val g = match Girth.girth g with None -> max_int | Some x -> x in
-  let rec go g best best_girth steps =
-    if steps = 0 || girth_val g >= min_girth then
-      if girth_val g >= best_girth then g else best
-    else
-      match try_swap rng g with
-      | None -> if girth_val g >= best_girth then g else best
-      | Some g' ->
-          Telemetry.incr c_girth_swaps;
-          let bg = girth_val g' in
-          if bg >= best_girth then go g' g' bg (steps - 1)
-          else go g' best best_girth (steps - 1)
+  let walk = Girth_repair.create g ~min_girth in
+  let rec go steps =
+    if steps > 0 && Girth_repair.short_cycle_exists walk then begin
+      if Girth_repair.swap walk rng then Telemetry.incr c_girth_swaps;
+      go (steps - 1)
+    end
   in
-  go g g (girth_val g) max_steps
+  go max_steps;
+  Girth_repair.to_graph walk
+
+(* The Moore bound: a d-regular graph of girth >= g has at least the
+   vertices of a radius-r ball, where r = (g-1)/2 around a vertex (odd
+   g) or around an edge (even g). *)
+let moore_min_n ~d ~girth =
+  let cap = 1 lsl 40 in
+  let geometric r =
+    (* sum_{i<r} (d-1)^i, saturating at [cap] *)
+    let rec go i term acc =
+      if i >= r || acc >= cap then min acc cap
+      else go (i + 1) (min cap (term * (d - 1))) (acc + term)
+    in
+    go 0 1 0
+  in
+  if girth <= 3 then d + 1
+  else if girth mod 2 = 1 then min cap (1 + (d * geometric (girth / 2)))
+  else min cap (2 * geometric (girth / 2))
 
 let greedy_matching_size g =
   let n = Graph.n g in
@@ -369,9 +348,18 @@ let greedy_matching_size g =
     (Graph.edges g);
   !count
 
+type girth_outcome = Reached | Infeasible of { min_n : int } | Budget
+
+let girth_outcome_to_string = function
+  | Reached -> "reached"
+  | Infeasible { min_n } -> Printf.sprintf "infeasible below n=%d" min_n
+  | Budget -> "budget"
+
 type certified = {
   graph : Graph.t;
   girth : int option;
+  girth_target : int;
+  girth_outcome : girth_outcome;
   independence_upper : int;
   independence_exact : bool;
 }
@@ -388,8 +376,15 @@ let high_girth_low_independence rng ~n ~d ?min_girth () =
         max 5 (int_of_float (ceil lg))
   in
   let g = random_regular rng ~n ~d in
-  let g = improve_girth rng g ~min_girth ~max_steps:(50 * n) in
+  let min_n = moore_min_n ~d ~girth:min_girth in
+  let g =
+    if n < min_n then g else improve_girth rng g ~min_girth ~max_steps:(50 * n)
+  in
   let girth = Girth.girth g in
+  let girth_outcome =
+    if n < min_n then Infeasible { min_n }
+    else match girth with Some x when x < min_girth -> Budget | _ -> Reached
+  in
   let exact_budget = if n <= 64 then 5_000_000 else 200_000 in
   let independence_upper, independence_exact =
     match Independence.exact ~max_nodes:exact_budget g with
@@ -400,6 +395,13 @@ let high_girth_low_independence rng ~n ~d ?min_girth () =
   in
   Telemetry.set g_girth_achieved (Option.value girth ~default:0);
   Telemetry.set g_independence_upper independence_upper;
-  { graph = g; girth; independence_upper; independence_exact }
+  {
+    graph = g;
+    girth;
+    girth_target = min_girth;
+    girth_outcome;
+    independence_upper;
+    independence_exact;
+  }
 
 let double_cover = Bipartite.double_cover

@@ -11,9 +11,12 @@ val greedy : Graph.t -> int list
 (** A maximal independent set found greedily by ascending degree. *)
 
 val exact : ?max_nodes:int -> Graph.t -> int option
-(** Exact independence number by branch and bound.  Returns [None] if
-    the search exceeds [max_nodes] search-tree nodes (default
-    [5_000_000]). *)
+(** Exact independence number by branch and bound over a bitset of the
+    remaining vertices, branching on a vertex of maximum remaining
+    degree and pruning with a clique-cover bound (on triangle-free
+    graphs: remaining vertices minus a maximal matching of them).
+    Returns [None] if the search exceeds [max_nodes] search-tree nodes
+    (default [5_000_000]). *)
 
 val upper_bound_alon : n:int -> delta:int -> alpha:float -> float
 (** The Lemma 2.1 bound [α · n · log Δ / Δ] (natural log). *)

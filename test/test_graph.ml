@@ -129,6 +129,34 @@ let test_high_girth_certified () =
   check bool_t "independence below n" true
     (c.Gen.independence_upper < Graph.n c.Gen.graph)
 
+let test_moore_bound () =
+  check int_t "Petersen: (3, g=5) needs 10" 10 (Gen.moore_min_n ~d:3 ~girth:5);
+  check int_t "(10, g=5) needs 101" 101 (Gen.moore_min_n ~d:10 ~girth:5);
+  check int_t "K_{d,d}: (4, g=4) needs 8" 8 (Gen.moore_min_n ~d:4 ~girth:4);
+  check int_t "Heawood: (3, g=6) needs 14" 14 (Gen.moore_min_n ~d:3 ~girth:6);
+  check int_t "K_{d+1}: (5, g=3) needs 6" 6 (Gen.moore_min_n ~d:5 ~girth:3);
+  check int_t "cycles: (2, g=7) needs 7" 7 (Gen.moore_min_n ~d:2 ~girth:7);
+  (* Petersen sits at equality: its girth-5 target is feasible. *)
+  let c = Gen.high_girth_low_independence (Prng.create 1) ~n:10 ~d:3 ~min_girth:5 () in
+  check bool_t "n = 10, d = 3, g = 5 is feasible" true
+    (match c.Gen.girth_outcome with Gen.Infeasible _ -> false | _ -> true);
+  let c = Gen.high_girth_low_independence (Prng.create 1) ~n:60 ~d:10 () in
+  check bool_t "(60, 10) at g = 5 is infeasible below 101" true
+    (c.Gen.girth_outcome = Gen.Infeasible { min_n = 101 });
+  check int_t "target 5" 5 c.Gen.girth_target;
+  check bool_t "still 10-regular" true (Graph.is_regular c.Gen.graph 10);
+  (* Even target: (6, g=6) needs 2·(1 + 5 + 25) = 62 > 40. *)
+  let c = Gen.high_girth_low_independence (Prng.create 2) ~n:40 ~d:6 ~min_girth:6 () in
+  check bool_t "(40, 6) at g = 6 is infeasible below 62" true
+    (c.Gen.girth_outcome = Gen.Infeasible { min_n = 62 })
+
+let test_girth_outcome_reached () =
+  let c = Gen.high_girth_low_independence (Prng.create 4) ~n:64 ~d:3 () in
+  check bool_t "reached" true (c.Gen.girth_outcome = Gen.Reached);
+  match c.Gen.girth with
+  | None -> ()
+  | Some g -> check bool_t "girth >= target" true (g >= c.Gen.girth_target)
+
 (* ------------------------------------------------------------------ *)
 (* Girth *)
 
@@ -479,6 +507,140 @@ let test_chromatic_budget () =
     | None -> true
     | Some c -> c >= 2)
 
+(* A random graph for the differential properties: a random regular
+   graph or an Erdős–Rényi one, so that triangles, isolated vertices
+   and mixed degrees all occur. *)
+let random_graph rng ~max_n =
+  let n = 1 + Prng.int rng max_n in
+  if Prng.bool rng && n >= 4 then begin
+    let d = 2 + Prng.int rng (min 5 (n - 2)) in
+    let d = if n * d mod 2 = 1 then d - 1 else d in
+    Gen.random_regular rng ~n ~d
+  end
+  else begin
+    let p = 1 + Prng.int rng 6 in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Prng.int rng 10 < p then edges := (u, v) :: !edges
+      done
+    done;
+    Graph.create ~n !edges
+  end
+
+(* α by enumerating every vertex subset. *)
+let brute_force_independence g =
+  let n = Graph.n g in
+  let nbrs =
+    Array.init n (fun v ->
+        List.fold_left (fun m w -> m lor (1 lsl w)) 0 (Graph.neighbors g v))
+  in
+  let best = ref 0 in
+  for set = 0 to (1 lsl n) - 1 do
+    let ok = ref true and size = ref 0 in
+    for v = 0 to n - 1 do
+      if (set lsr v) land 1 = 1 then begin
+        incr size;
+        if set land nbrs.(v) <> 0 then ok := false
+      end
+    done;
+    if !ok && !size > !best then best := !size
+  done;
+  !best
+
+let seeded = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2024 |])
+
+let prop_independence_brute_force =
+  QCheck.Test.make ~name:"exact independence = subset enumeration (n <= 16)" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g = random_graph (Prng.create seed) ~max_n:16 in
+      Independence.exact g = Some (brute_force_independence g))
+
+let prop_independence_reference =
+  QCheck.Test.make ~name:"bitset exact independence = list branch-and-bound (n <= 40)"
+    ~count:120
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g = random_graph (Prng.create seed) ~max_n:40 in
+      Independence.exact g = Independence_reference.exact g)
+
+(* After every swap, the walk's answer to "is there a cycle shorter
+   than the target?" is the one a full girth computation gives, and
+   the degree sequence is the original one. *)
+let prop_girth_repair_answer =
+  QCheck.Test.make ~name:"girth repair: short-cycle answer = Girth.girth after every swap"
+    ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_range 3 7))
+    (fun (seed, min_girth) ->
+      let rng = Prng.create seed in
+      let g = random_graph rng ~max_n:40 in
+      let degrees h = List.init (Graph.n h) (Graph.degree h) in
+      let walk = Slocal_graph.Girth_repair.create g ~min_girth in
+      let rec go steps =
+        let h = Slocal_graph.Girth_repair.to_graph walk in
+        let short = match Girth.girth h with Some x -> x < min_girth | None -> false in
+        Slocal_graph.Girth_repair.short_cycle_exists walk = short
+        && degrees h = degrees g
+        && (steps = 0 || (not short)
+           || (ignore (Slocal_graph.Girth_repair.swap walk rng);
+               go (steps - 1)))
+      in
+      go 200)
+
+(* Edge-array hashes of the generators behind the benchmark's
+   decide-lift inputs (and the base graphs of certify-graphs), whose
+   solver cost is heavy-tailed across inputs: a change to any of these
+   generators changes what the benchmark measures. *)
+let mix h x = ((h * 1_000_003) lxor x) land 0x3FFF_FFFF
+
+let edge_hash g =
+  Array.fold_left (fun h (u, v) -> mix (mix h u) v) (Graph.n g) (Graph.edges g)
+
+let hyper_hash h =
+  List.fold_left
+    (fun acc e -> List.fold_left mix (mix acc 0xFFFF) (Hypergraph.hyperedge h e))
+    (Hypergraph.n h)
+    (List.init (Hypergraph.num_edges h) Fun.id)
+
+let golden_generators =
+  [
+    (1, [ 609425970; 187492096; 334064716; 678976378; 204803036 ],
+     [ 983525960; 560569012; 139606972 ], [ 629644336; 914866579 ]);
+    (2, [ 121998500; 878334720; 431046776; 1061705650; 163355746 ],
+     [ 346052928; 646121432; 207378820 ], [ 533698898; 475994737 ]);
+    (3, [ 329958962; 229165232; 673077686; 516634744; 308551298 ],
+     [ 396644100; 113514940; 1004694508 ], [ 897150686; 1053359831 ]);
+    (4, [ 916628610; 800397284; 122141284; 936888046; 160449782 ],
+     [ 326635748; 517864740; 385352780 ], [ 837127854; 199294697 ]);
+    (5, [ 210063596; 925487800; 1044276882; 690140476; 845985974 ],
+     [ 450351248; 168722400; 1025658168 ], [ 893659340; 274877035 ]);
+  ]
+
+let test_golden_generators () =
+  List.iter
+    (fun (seed, regular, biregular, hyper) ->
+      let ints = Alcotest.list int_t in
+      check ints (Printf.sprintf "random_regular seed %d" seed) regular
+        (List.map
+           (fun (n, d) -> edge_hash (Gen.random_regular (Prng.create seed) ~n ~d))
+           [ (64, 3); (64, 4); (60, 10); (48, 16); (20, 9) ]);
+      check ints (Printf.sprintf "random_biregular seed %d" seed) biregular
+        (List.map
+           (fun (nw, d) ->
+             edge_hash
+               (Bipartite.graph
+                  (Gen.random_biregular (Prng.create seed) ~nw ~nb:nw ~dw:d ~db:d)))
+           [ (10, 4); (8, 5); (16, 4) ]);
+      check ints (Printf.sprintf "random_regular_uniform seed %d" seed) hyper
+        (List.map
+           (fun d ->
+             hyper_hash
+               (Hgen.random_regular_uniform (Prng.create seed) ~n:10 ~degree:d ~rank:d
+                  ~require_linear:false ()))
+           [ 4; 5 ]))
+    golden_generators
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -490,6 +652,12 @@ let qsuite =
       prop_random_regular_handshake;
       prop_hypergraph_generator_girth;
     ]
+  @ List.map seeded
+      [
+        prop_independence_brute_force;
+        prop_independence_reference;
+        prop_girth_repair_answer;
+      ]
 
 let () =
   Alcotest.run "graph"
@@ -514,6 +682,9 @@ let () =
           Alcotest.test_case "random biregular" `Quick test_random_biregular;
           Alcotest.test_case "improve girth" `Quick test_improve_girth;
           Alcotest.test_case "high girth certified" `Quick test_high_girth_certified;
+          Alcotest.test_case "moore bound" `Quick test_moore_bound;
+          Alcotest.test_case "girth outcome reached" `Quick test_girth_outcome_reached;
+          Alcotest.test_case "golden generator hashes" `Quick test_golden_generators;
         ] );
       ( "girth",
         [
