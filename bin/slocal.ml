@@ -173,6 +173,12 @@ let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
   | v ->
       finish "ok";
       v
+  | exception Re_step.Alphabet_too_large { problem; labels } ->
+      (* Unusable input for the bitset-indexed kernels: a diagnostic and
+         exit 2, as for a spec that does not parse. *)
+      finish "error";
+      Format.eprintf "%a@." Diagnostic.pp (Chk.universe_error ~subject:problem labels);
+      exit 2
   | exception e ->
       finish "error";
       raise e

@@ -25,6 +25,7 @@ let code_table =
     { code = "SL024"; severity = D.Error; title = "lift constraint missing a Definition 3.1 configuration" };
     { code = "SL025"; severity = D.Info; title = "lift check skipped (budget)" };
     { code = "SL026"; severity = D.Error; title = "round elimination grounding inconsistent" };
+    { code = "SL027"; severity = D.Error; title = "round elimination alphabet exceeds the 62-label set universe" };
     { code = "SL030"; severity = D.Error; title = "certificate does not match the stated inputs" };
     { code = "SL031"; severity = D.Error; title = "solvability certificate fails checker replay" };
     { code = "SL032"; severity = D.Error; title = "det_rounds inconsistent with min {2k, (g-4)/2}" };
@@ -34,7 +35,7 @@ let code_table =
     { code = "SL036"; severity = D.Error; title = "unsolvability certificate refuted by re-search" };
     { code = "SL037"; severity = D.Info; title = "unsolvability re-search undecided within audit budget" };
     { code = "SL040"; severity = D.Error; title = "trace file empty or fully damaged" };
-    { code = "SL041"; severity = D.Warning; title = "telemetry metric name not documented in DESIGN.md" };
+    { code = "SL041"; severity = D.Warning; title = "telemetry metric or span name not documented in DESIGN.md" };
     { code = "SL050"; severity = D.Warning; title = "module-scope mutable binding not classified" };
     { code = "SL051"; severity = D.Warning; title = "module-scope lazy value or mutable type not classified" };
     { code = "SL052"; severity = D.Warning; title = "nondeterministic PRNG use not classified" };
@@ -51,7 +52,20 @@ let find_entry code = List.find_opt (fun e -> e.code = code) code_table
    this size the minimal-lift structural check is skipped. *)
 let max_lift_alphabet = 14
 
+let universe_error ~subject labels =
+  D.error ~code:"SL027" ~subject
+    (Printf.sprintf
+       "round elimination needs %d labels as set members; label sets hold at \
+        most %d"
+       labels Slocal_util.Bitset.max_universe)
+
 let lint_problem ?delta ?r ?(check_lift = true) (p : Problem.t) =
+  let labels = Alphabet.size p.Problem.alphabet in
+  if labels > Slocal_util.Bitset.max_universe then
+    (* Diagrams, right-closed families and lifts are all bitset-indexed. *)
+    Invariants.problem_checks ?delta ?r p
+    @ [ universe_error ~subject:p.Problem.name labels ]
+  else
   let base =
     Invariants.problem_checks ?delta ?r p @ Invariants.diagram_checks p
   in
@@ -84,13 +98,16 @@ let lint_file ?delta ?r path =
 let lint_re_chain p ~steps =
   let diags = ref [] in
   let current = ref p in
-  for _ = 1 to steps do
-    let g1 = Re_step.r_black !current in
-    diags := !diags @ Invariants.grounding_checks ~prev:!current g1;
-    let g2 = Re_step.r_white g1.Re_step.problem in
-    diags := !diags @ Invariants.grounding_checks ~prev:g1.Re_step.problem g2;
-    current := g2.Re_step.problem
-  done;
+  (try
+     for _ = 1 to steps do
+       let g1 = Re_step.r_black !current in
+       diags := !diags @ Invariants.grounding_checks ~prev:!current g1;
+       let g2 = Re_step.r_white g1.Re_step.problem in
+       diags := !diags @ Invariants.grounding_checks ~prev:g1.Re_step.problem g2;
+       current := g2.Re_step.problem
+     done
+   with Re_step.Alphabet_too_large { problem; labels } ->
+     diags := !diags @ [ universe_error ~subject:problem labels ]);
   !diags
 
 let audit ~support ~last_problem ~k ?recheck_budget res =

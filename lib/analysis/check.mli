@@ -24,7 +24,13 @@ val lint_problem :
     default) the structural invariants of the minimal lift
     [lift_{Δ,r}] with [Δ]/[r] defaulting to the problem's own arities.
     Lift construction is skipped with an SL025 info when the alphabet
-    is too large to enumerate right-closed sets. *)
+    is too large to enumerate right-closed sets; above
+    [Bitset.max_universe] labels only the well-formedness checks run,
+    plus an SL027 error. *)
+
+val universe_error : subject:string -> int -> Diagnostic.t
+(** The SL027 error for a round elimination step (or problem) that
+    needs [labels] labels as members of a label set. *)
 
 val lint_file : ?delta:int -> ?r:int -> string -> Diagnostic.t list
 (** Source-level lints (SL000/SL004/SL005) plus, when the file parses,

@@ -15,11 +15,16 @@ let problem_checks ?delta ?r (p : Problem.t) =
   let subject = p.Problem.name in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let used_w = Bitset.of_list (Constr.labels_used p.Problem.white) in
-  let used_b = Bitset.of_list (Constr.labels_used p.Problem.black) in
+  (* Plain arrays, not bitsets: these checks hold on any alphabet size. *)
+  let used c =
+    let u = Array.make (Alphabet.size p.Problem.alphabet) false in
+    List.iter (fun l -> u.(l) <- true) (Constr.labels_used c);
+    u
+  in
+  let used_w = used p.Problem.white and used_b = used p.Problem.black in
   for l = 0 to Alphabet.size p.Problem.alphabet - 1 do
     let name = Alphabet.name p.Problem.alphabet l in
-    let in_w = Bitset.mem l used_w and in_b = Bitset.mem l used_b in
+    let in_w = used_w.(l) and in_b = used_b.(l) in
     if (not in_w) && not in_b then
       add
         (D.warning ~code:"SL001" ~subject ~location:(D.Label name)

@@ -228,14 +228,14 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Scan OCaml source text for [counter]/[gauge]/[histogram]
+(* Scan OCaml source text for [counter]/[gauge]/[histogram]/[span]
    applications whose argument is a string literal (qualified or not).
    A plain text scan — no lexer — is exact enough: registration sites
    are literal by convention, and a stray match inside a comment only
    adds a name that ought to be documented anyway. *)
 let telemetry_registrations text =
   let n = String.length text in
-  let kinds = [ "counter"; "gauge"; "histogram" ] in
+  let kinds = [ "counter"; "gauge"; "histogram"; "span" ] in
   let found = ref [] in
   List.iter
     (fun kw ->
@@ -323,8 +323,29 @@ let design_metric_names text =
          | _ -> [])
   |> List.sort_uniq compare
 
+(* The backticked names of the "Span names:" paragraph that follows the
+   table. *)
+let design_span_names text =
+  let rec skip_to_paragraph = function
+    | [] -> []
+    | l :: rest ->
+        if String.starts_with ~prefix:"Span names:" (String.trim l) then
+          in_paragraph (l :: rest) []
+        else skip_to_paragraph rest
+  and in_paragraph lines acc =
+    match lines with
+    | [] -> acc
+    | l :: rest -> if String.trim l = "" then acc else in_paragraph rest (l :: acc)
+  in
+  skip_to_paragraph (String.split_on_char '\n' text)
+  |> List.concat_map backticked
+  |> List.filter (fun s ->
+         s <> "" && String.for_all (fun c -> c = '.' || (is_ident_char c && c <> '\'')) s)
+  |> List.sort_uniq compare
+
 let telemetry_name_findings ~design sources =
   let documented = design_metric_names design in
+  let documented_spans = design_span_names design in
   let table_missing =
     if documented = [] then
       [
@@ -338,7 +359,16 @@ let telemetry_name_findings ~design sources =
       (fun (subject, text) ->
         List.filter_map
           (fun (kind, nm) ->
-            if List.mem nm documented then None
+            if kind = "span" then
+              if List.mem nm documented_spans then None
+              else
+                Some
+                  (D.warning ~code:"SL041" ~subject
+                     (Printf.sprintf
+                        "telemetry span %S is not listed under the DESIGN.md \
+                         §6 span names"
+                        nm))
+            else if List.mem nm documented then None
             else
               Some
                 (D.warning ~code:"SL041" ~subject

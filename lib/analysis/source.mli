@@ -44,10 +44,10 @@ val lint_slp_file : string -> Diagnostic.t list
     §6's "Counter and gauge names" table. *)
 
 val telemetry_registrations : string -> (string * string) list
-(** [(kind, name)] pairs for every [counter "..."], [gauge "..."] or
-    [histogram "..."] application found in OCaml source text (plain
-    text scan; qualified and unqualified uses alike), sorted and
-    deduplicated. *)
+(** [(kind, name)] pairs for every [counter "..."], [gauge "..."],
+    [histogram "..."] or [span "..."] application found in OCaml source
+    text (plain text scan; qualified and unqualified uses alike), sorted
+    and deduplicated. *)
 
 val design_metric_names : string -> string list
 (** The full dotted metric names documented in a design document's
@@ -55,12 +55,17 @@ val design_metric_names : string -> string list
     [| `prefix.` | `name`, `name`, ... |]; non-identifier backticked
     tokens are ignored). *)
 
+val design_span_names : string -> string list
+(** The backticked dotted names of a design document's
+    ["Span names:"] paragraph (up to the next blank line). *)
+
 val telemetry_name_findings :
   design:string -> (string * string) list -> Diagnostic.t list
 (** [telemetry_name_findings ~design sources] checks every
     registration in [sources] ([(subject, text)] pairs) against the
-    design table: one SL041 warning per undocumented name, plus one
-    SL041 warning if [design] has no table at all. *)
+    design table (spans against the span-name paragraph): one SL041
+    warning per undocumented name, plus one SL041 warning if [design]
+    has no table at all. *)
 
 val ml_files_under : string -> string list
 (** Every [.ml] file under a directory, recursively, sorted; an

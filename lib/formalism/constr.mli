@@ -5,9 +5,10 @@
     arity: Δ' for white, r' for black).  Besides membership, the
     operations needed by round elimination, the lift operator and the
     solver are quantified-choice tests over "condensed" configurations
-    (one label set per position), with pruning through the downward
-    closure of the constraint (the set of all sub-multisets of its
-    configurations, indexed by size). *)
+    (one label set per position).  They walk the constraint's
+    down-closure automaton — one state per sub-multiset of a
+    configuration, one transition per added label — built on the first
+    query; a walk allocates nothing. *)
 
 module Config_set : Set.S with type elt = Slocal_util.Multiset.t
 
@@ -26,16 +27,20 @@ val mem : Slocal_util.Multiset.t -> t -> bool
 val extendable : Slocal_util.Multiset.t -> t -> bool
 (** [extendable partial t]: is [partial] a sub-multiset of some
     configuration of [t]?  ([partial] may have any size up to the
-    arity.)  Memoized via downward closures. *)
+    arity.)  A walk of the down-closure automaton. *)
+
+val extendable_labels : int list -> t -> bool
+(** [extendable_labels labels t] is [extendable (Multiset.of_list
+    labels) t], for [labels] in any order. *)
 
 val exists_choice : int list list -> t -> bool
 (** [exists_choice sets t]: do per-position picks [ℓ_i ∈ sets_i] exist
     whose multiset is in [t]?  [sets] must have length [arity t].
-    Prunes using {!extendable}. *)
+    Prunes every pick that is not {!extendable}. *)
 
 val for_all_choices : int list list -> t -> bool
 (** All per-position picks form configurations of [t].  [sets] must
-    have length [arity t]. *)
+    have length [arity t].  Vacuously true when some set is empty. *)
 
 val exists_choice_partial : int list list -> t -> bool
 (** Like {!exists_choice} but for fewer than [arity] positions: the
@@ -43,7 +48,15 @@ val exists_choice_partial : int list list -> t -> bool
 
 val for_all_choices_partial : int list list -> t -> bool
 (** All picks over the (possibly fewer than [arity]) positions are
-    extendable. *)
+    extendable.  Vacuously true when some set is empty. *)
+
+val first_dead_pick : int list list -> t -> (int * int) list option
+(** [first_dead_pick sets t]: the first {e dead} pick — one whose label
+    multiset is not {!extendable} — met by the depth-first walk over
+    [sets] (positions in order, each set's labels in list order), as
+    [(position, label)] pairs for positions [0 .. j]; [None] when the
+    walk meets none.  Unmemoized.
+    @raise Invalid_argument if [sets] is longer than [arity t]. *)
 
 val labels_used : t -> int list
 (** Distinct labels appearing in some configuration. *)

@@ -7,31 +7,35 @@ type t = {
 }
 
 (* Direct strength test from the definition: every configuration
-   containing y stays in C under replacing any positive number of
-   copies of y by x. *)
-let directly_stronger constr x y =
+   containing y (given: [with_y], paired with y's multiplicity) stays
+   in C under replacing any positive number of copies of y by x. *)
+let directly_stronger constr with_y x y =
   x = y
   || List.for_all
-       (fun cfg ->
-         let k = Multiset.count y cfg in
-         if k = 0 then true
-         else begin
-           let ok = ref true in
-           let current = ref cfg in
-           for _ = 1 to k do
-             current := Multiset.add x (Multiset.remove y !current);
-             if not (Constr.mem !current constr) then ok := false
-           done;
-           !ok
-         end)
-       (Constr.configs constr)
+       (fun (cfg, k) ->
+         let rec replace current j =
+           j > k
+           ||
+           let current = Multiset.add x (Multiset.remove y current) in
+           Constr.mem current constr && replace current (j + 1)
+         in
+         replace cfg 1)
+       with_y
 
 let of_constraint ~alphabet_size constr =
   let n = alphabet_size in
   let rel = Array.make_matrix n n false in
+  let configs = Constr.configs constr in
   for y = 0 to n - 1 do
+    let with_y =
+      List.filter_map
+        (fun cfg ->
+          let k = Multiset.count y cfg in
+          if k = 0 then None else Some (cfg, k))
+        configs
+    in
     for x = 0 to n - 1 do
-      rel.(y).(x) <- directly_stronger constr x y
+      rel.(y).(x) <- directly_stronger constr with_y x y
     done
   done;
   (* The relation is transitive by a replacement argument, but we take

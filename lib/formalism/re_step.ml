@@ -68,6 +68,28 @@ let match_up_subset a b =
   in
   match_up a b
 
+(* A violating choice of the position sets [sets]: (position, label)
+   pairs forming a {e dead} pick — a multiset no configuration of
+   [constr] extends (at full size, deadness is non-membership); [None]
+   means every choice lies in [constr].  The memoized [for_all_choices]
+   answers the good case.  Otherwise the witness is the first dead pick
+   of the depth-first walk over the positions (the automaton walk of
+   [Constr.first_dead_pick]), greedily minimized: dropping any label
+   that leaves the pick dead.  Minimal witnesses mean minimal branching
+   — a good configuration below must exclude the witness label at one
+   of the witness positions only. *)
+let violating_choice sets constr =
+  if Constr.for_all_choices sets constr then None
+  else
+    let dead picked = not (Constr.extendable_labels (List.map snd picked) constr) in
+    let rec minimize kept = function
+      | [] -> List.rev kept
+      | e :: rest ->
+          if dead (List.rev_append kept rest) then minimize kept rest
+          else minimize (e :: kept) rest
+    in
+    Option.map (minimize []) (Constr.first_dead_pick sets constr)
+
 (* Maximal good configurations by a top-down subset-lattice search.
 
    A set configuration is good when every per-position choice lies in
@@ -135,50 +157,7 @@ let maximal_good_configs ~candidates ~arity constr =
     let cfg_sets cfg =
       List.map (fun i -> Bitset.to_list cands.(i)) (Multiset.to_list cfg)
     in
-    (* A violating choice of cfg: (position, label) pairs forming a
-       {e dead} pick — a multiset no configuration of [constr] extends
-       (at full size, deadness is non-membership); [None] means cfg is
-       good.  The memoized [for_all_choices] answers the good case.
-       The walk returns the first dead partial pick it meets (falling
-       back to a full-length pick when every proper prefix stays
-       extendable), then greedily minimizes it: dropping any label
-       that leaves the pick dead.  Minimal witnesses mean minimal
-       branching — a good configuration below cfg must exclude the
-       witness label at one of the witness positions only. *)
-    let violating_choice cfg =
-      let sets = cfg_sets cfg in
-      if Constr.for_all_choices sets constr then None
-      else
-        let dead picked =
-          not (Constr.extendable (Multiset.of_list (List.map snd picked)) constr)
-        in
-        let minimize witness =
-          let rec go kept = function
-            | [] -> List.rev kept
-            | e :: rest ->
-                if dead (List.rev_append kept rest) then go kept rest
-                else go (e :: kept) rest
-          in
-          go [] witness
-        in
-        let rec go j picked = function
-          | [] ->
-              let m = Multiset.of_list (List.map snd picked) in
-              if Constr.mem m constr then None else Some (List.rev picked)
-          | s :: rest ->
-              if dead picked then Some (List.rev picked)
-              else
-                let rec first = function
-                  | [] -> None
-                  | l :: ls -> (
-                      match go (j + 1) ((j, l) :: picked) rest with
-                      | Some _ as w -> w
-                      | None -> first ls)
-                in
-                first s
-        in
-        Option.map minimize (go 0 [] sets)
-    in
+    let violating_choice cfg = violating_choice (cfg_sets cfg) constr in
     let visited = Config_key.Tbl.create 256 in
     let frontier = ref [] in
     let nodes = ref 0 in
@@ -265,27 +244,49 @@ let set_name alphabet s =
     String.concat "" names
   else "\xe2\x9f\xa8" ^ String.concat "," names ^ "\xe2\x9f\xa9"
 
+exception Alphabet_too_large of { problem : string; labels : int }
+
+let check_universe ~name labels =
+  if labels > Bitset.max_universe then raise (Alphabet_too_large { problem = name; labels })
+
 (* Core of R: maximality on [strong] side, existence on [weak] side.
    [strong_constr] keeps its arity; new labels are the sets appearing
-   in the maximal good configurations. *)
-let r_core ~name ~alphabet ~strong_constr ~weak_constr =
+   in the maximal good configurations.  Each phase has its own span
+   under [re.step].  With [~feeds_next], the new alphabet is the input
+   alphabet of the step that always follows (R̄ after R), so it is
+   checked against the bitset universe before the weak side runs. *)
+let r_core ~feeds_next ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.span "re.step" @@ fun () ->
   Telemetry.incr c_steps;
-  let diagram =
-    Diagram.of_constraint ~alphabet_size:(Alphabet.size alphabet) strong_constr
+  check_universe ~name (Alphabet.size alphabet);
+  let candidates =
+    Telemetry.span "re.diagram" @@ fun () ->
+    let diagram =
+      Diagram.of_constraint ~alphabet_size:(Alphabet.size alphabet) strong_constr
+    in
+    (* Maximal good configurations consist of right-closed sets (any good
+       configuration is dominated by its position-wise right closure). *)
+    Diagram.right_closed_sets diagram
   in
-  (* Maximal good configurations consist of right-closed sets (any good
-     configuration is dominated by its position-wise right closure). *)
-  let candidates = Diagram.right_closed_sets diagram in
-  let strong_configs =
-    maximal_good_configs ~candidates ~arity:(Constr.arity strong_constr)
-      strong_constr
+  let strong_configs, sigma' =
+    Telemetry.span "re.strong" @@ fun () ->
+    let strong_configs =
+      maximal_good_configs ~candidates ~arity:(Constr.arity strong_constr)
+        strong_constr
+    in
+    if strong_configs = [] then
+      invalid_arg "Re_step: empty result constraint (problem is 0-round unsolvable everywhere)";
+    (strong_configs, List.concat strong_configs |> List.sort_uniq Bitset.compare)
   in
-  if strong_configs = [] then
-    invalid_arg "Re_step: empty result constraint (problem is 0-round unsolvable everywhere)";
-  let sigma' =
-    List.concat strong_configs |> List.sort_uniq Bitset.compare
+  if feeds_next then check_universe ~name (List.length sigma');
+  let weak_configs =
+    Telemetry.span "re.weak" @@ fun () ->
+    enumerate_set_configs ~candidates:sigma' ~arity:(Constr.arity weak_constr)
+      ~partial:(fun cfg ->
+        Constr.exists_choice_partial (sets_to_lists cfg) weak_constr)
+      ~full:(fun cfg -> Constr.exists_choice (sets_to_lists cfg) weak_constr)
   in
+  Telemetry.span "re.build" @@ fun () ->
   let meaning = Array.of_list sigma' in
   let index =
     let tbl = Hashtbl.create 16 in
@@ -295,12 +296,6 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
   let alphabet' = Alphabet.of_names (List.map (set_name alphabet) sigma') in
   let to_config sets =
     Multiset.of_list (List.map (Hashtbl.find index) sets)
-  in
-  let weak_configs =
-    enumerate_set_configs ~candidates:sigma' ~arity:(Constr.arity weak_constr)
-      ~partial:(fun cfg ->
-        Constr.exists_choice_partial (sets_to_lists cfg) weak_constr)
-      ~full:(fun cfg -> Constr.exists_choice (sets_to_lists cfg) weak_constr)
   in
   let strong' =
     Constr.make ~arity:(Constr.arity strong_constr)
@@ -317,7 +312,7 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
 
 let r_black_fast (p : Problem.t) =
   let name, alphabet, black, white, meaning =
-    r_core ~name:("R(" ^ p.Problem.name ^ ")")
+    r_core ~feeds_next:true ~name:("R(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.black
       ~weak_constr:p.Problem.white
   in
@@ -325,7 +320,7 @@ let r_black_fast (p : Problem.t) =
 
 let r_white_fast (p : Problem.t) =
   let name, alphabet, white, black, meaning =
-    r_core ~name:("R̄(" ^ p.Problem.name ^ ")")
+    r_core ~feeds_next:false ~name:("R̄(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.white
       ~weak_constr:p.Problem.black
   in

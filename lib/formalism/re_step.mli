@@ -40,6 +40,14 @@ type grounding = {
 
 type kernel = Fast | Reference
 
+exception Alphabet_too_large of { problem : string; labels : int }
+(** Raised by the fast kernel when a step would index more than
+    [Bitset.max_universe] (62) labels as bitset members: the input
+    alphabet of the step named [problem] (["R(…)"] or ["R̄(…)"]), or the
+    new alphabet of an [R] step — the input of the [R̄] that follows it
+    — right after its strong side, before its weak side enumerates over
+    it.  [labels] is the offending alphabet size. *)
+
 val set_kernel : kernel -> unit
 (** Select the implementation behind {!r_black}, {!r_white}, {!re} and
     {!is_fixed_point}.  Default: [Fast]. *)
@@ -100,3 +108,12 @@ val maximal_good_configs :
     regardless of {!set_kernel} (the reference implementation lives in
     {!Re_reference.maximal_good_configs}).  Visited lattice nodes
     count into [re.enum_nodes]. *)
+
+val violating_choice : int list list -> Constr.t -> (int * int) list option
+(** [violating_choice sets constr]: [None] when every per-position
+    choice over [sets] lies in [constr]; otherwise a minimal dead pick
+    as [(position, label)] pairs — the first pick of the depth-first
+    walk over the positions whose multiset no configuration of
+    [constr] extends, with every label dropped whose removal leaves the
+    pick dead.  The witness that drives the lattice search of
+    {!maximal_good_configs}. *)

@@ -23,7 +23,9 @@ val exists : ?max_nodes:int -> Problem.t -> Problem.t -> bool option
 (** [exists src dst]: does some witnessing map [f] (in the general,
     position-wise sense) exist, i.e. is [dst] a relaxation of [src]?
     Decided by backtracking over the image of each white configuration
-    with incremental pruning of the induced [r]; [None] if the search
+    with incremental pruning of the induced [r] (after the images of a
+    white configuration are chosen, only the black configurations
+    sharing one of its labels are re-checked); [None] if the search
     budget [max_nodes] (default 2_000_000) is exhausted. *)
 
 val witness :
@@ -36,3 +38,13 @@ val witness :
     tuple chosen for its canonical ordering.  [None] means no witness
     was found within the budget (so: not a relaxation, or budget
     exhausted — use {!exists} to distinguish). *)
+
+val search :
+  ?max_nodes:int ->
+  Problem.t ->
+  Problem.t ->
+  (Slocal_util.Multiset.t * int list) list option option * int
+(** The search behind {!exists} and {!witness}: [Some (Some w)] when
+    [w] witnesses the relaxation, [Some None] when there is none,
+    [None] on budget — paired with the number of search nodes visited
+    ([max_nodes + 1] on budget). *)

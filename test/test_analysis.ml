@@ -151,6 +151,22 @@ let test_fixture_noncanonical () =
   check int_t "three SL005" 3
     (List.length (List.filter (fun d -> d.D.code = "SL005") diags))
 
+(* One label past the 62-label set universe: the document parses, the
+   well-formedness checks run, and the bitset-indexed checks give way
+   to one SL027 error instead of an exception. *)
+let test_fixture_wide_alphabet () =
+  let diags = Check.lint_file (fixture "wide_alphabet.slp") in
+  check (Alcotest.list Alcotest.string) "SL027 only" [ "SL027" ] (codes diags);
+  check int_t "an error" 1 (List.length (errors diags))
+
+(* RE^2 of Π_3(2,1) needs 120 labels right after the strong side of its
+   second R: the RE chain lint stops there with SL027. *)
+let test_re_chain_universe () =
+  let diags =
+    Check.lint_re_chain (Slocal_problems.Ruling_family.pi ~delta:3 ~c:2 ~beta:1) ~steps:2
+  in
+  check (Alcotest.list Alcotest.string) "SL027" [ "SL027" ] (codes diags)
+
 let test_missing_file () =
   let diags = Check.lint_file "fixtures/does_not_exist.slp" in
   check bool_t "SL000 fires" true (has_code "SL000" diags)
@@ -503,6 +519,26 @@ let test_telemetry_name_findings () =
        (Source.telemetry_name_findings ~design:"nothing here"
           [ ("a.ml", documented_src) ]))
 
+let test_span_names () =
+  let design =
+    "### Counter and gauge names\n\n| `re.` | `steps` |\n\n\
+     Span names: `re.step` (children `re.strong`,\n`re.weak`).\n\n\
+     Not `re.later`.\n"
+  in
+  check (Alcotest.list Alcotest.string) "paragraph names only"
+    [ "re.step"; "re.strong"; "re.weak" ]
+    (Source.design_span_names design);
+  let src = "let f () = Telemetry.span \"re.strong\" g\nlet h () = span \"re.later\" g\n" in
+  match Source.telemetry_name_findings ~design [ ("a.ml", src) ] with
+  | [ d ] ->
+      check Alcotest.string "SL041" "SL041" d.D.code;
+      check bool_t "names the span" true
+        (String.length d.D.message > 0
+        && List.exists
+             (fun w -> w = "\"re.later\"")
+             (String.split_on_char ' ' d.D.message))
+  | ds -> Alcotest.failf "expected 1 finding, got %d" (List.length ds)
+
 let test_telemetry_lint_repo () =
   (* The real sources (library, CLI, bench harness) against the real
      design document: the documented inventory must not drift (this is
@@ -817,7 +853,7 @@ let test_staticcheck_repo_inventory () =
         (("lib/analysis", "SL051"), 1);
         (("lib/core", "SL051"), 1);
         (("lib/formalism", "SL050"), 3);
-        (("lib/formalism", "SL051"), 2);
+        (("lib/formalism", "SL051"), 3);
         (("lib/obs", "SL050"), 19);
         (("lib/obs", "SL051"), 3);
         (("lib/obs", "SL054"), 1);
@@ -1103,6 +1139,8 @@ let () =
           Alcotest.test_case "duplicate config" `Quick
             test_fixture_duplicate_config;
           Alcotest.test_case "non-canonical" `Quick test_fixture_noncanonical;
+          Alcotest.test_case "wide alphabet" `Quick test_fixture_wide_alphabet;
+          Alcotest.test_case "RE chain past the universe" `Quick test_re_chain_universe;
           Alcotest.test_case "missing file" `Quick test_missing_file;
         ] );
       ( "wellformedness",
@@ -1146,6 +1184,7 @@ let () =
             test_design_metric_names;
           Alcotest.test_case "drift findings" `Quick
             test_telemetry_name_findings;
+          Alcotest.test_case "span names" `Quick test_span_names;
           Alcotest.test_case "repo inventory documented" `Quick
             test_telemetry_lint_repo;
           Alcotest.test_case "bench registration drift" `Quick

@@ -132,6 +132,21 @@ let test_constr_vacuous () =
   check bool_t "empty position set: exists false" false
     (Constr.exists_choice [ []; [ o ]; [ o ] ] c)
 
+(* A dead pick ahead of an empty position set does not make the
+   universal test fail: the product is still empty.  Both orders of the
+   same sets share one memo entry, so both must give the same answer. *)
+let test_constr_vacuous_after_dead_prefix () =
+  let c = Constr.make ~arity:2 [ Multiset.of_list [ 0; 0 ] ] in
+  check bool_t "dead prefix, then empty set" true
+    (Constr.for_all_choices [ [ 1 ]; [] ] c);
+  check bool_t "empty set, then dead position" true
+    (Constr.for_all_choices [ []; [ 1 ] ] c);
+  check bool_t "partial form" true (Constr.for_all_choices_partial [ [ 1 ]; [] ] c);
+  check bool_t "no dead pick past an empty set" true
+    (Constr.first_dead_pick [ [ 0 ]; [] ] c = None);
+  check bool_t "first dead pick" true
+    (Constr.first_dead_pick [ [ 0 ]; [ 0; 1 ] ] c = Some [ (0, 0); (1, 1) ])
+
 let test_constr_map_labels () =
   let c = Constr.make ~arity:2 [ Multiset.of_list [ 0; 1 ] ] in
   let c' = Constr.map_labels (fun l -> 1 - l) c in
@@ -435,6 +450,57 @@ let golden_parallel_tests =
             "cold runs count the same kernel work" counters1 counters2))
     golden_cases
 
+(* The deepest RE outputs of the re-sequence benchmark, which the
+   reference kernel does not finish in minutes, pinned by renaming-
+   invariant hash and by the lattice and weak-side nodes of their last
+   step (values computed with the kernel before the down-closure
+   automaton).  Lemma 4.5 checks these outputs only up to relaxation. *)
+let deep_golden_cases =
+  (* spec, RE steps, canonical hash of RE^k, re.enum_nodes of step k *)
+  [ ("matching:4:0:1", 3, 1011163710, 44457); ("matching:5:0:1", 2, 656937135, 22481) ]
+
+let deep_golden_tests =
+  List.map
+    (fun (spec, k, hash, nodes) ->
+      Alcotest.test_case (Printf.sprintf "RE^%d of %s" k spec) `Slow (fun () ->
+          Re_step.set_kernel Re_step.Fast;
+          Re_step.clear_cache ();
+          let rec iterate p i = if i = 0 then p else iterate (Re_step.re p) (i - 1) in
+          let p = iterate (golden_problem spec) (k - 1) in
+          let before = Slocal_obs.Telemetry.snapshot () in
+          let q = Re_step.re p in
+          let d =
+            Slocal_obs.Telemetry.delta ~before ~after:(Slocal_obs.Telemetry.snapshot ())
+          in
+          check int_t "canonical hash" hash (Problem.canonical_hash q);
+          check int_t "re.enum_nodes of the last step" nodes
+            (Option.value ~default:0 (List.assoc_opt "re.enum_nodes" d))))
+    deep_golden_cases
+
+(* RE^2 of Π_3(2,1): the second R's strong side yields 120 new labels,
+   past the 62-label set universe — a typed failure before its weak side
+   runs, not an exception from deep inside the next diagram. *)
+let test_alphabet_too_large () =
+  Re_step.set_kernel Re_step.Fast;
+  Re_step.clear_cache ();
+  let q = Re_step.re (golden_problem "ruling:3:2:1") in
+  let module T = Slocal_obs.Telemetry in
+  let spans = ref [] in
+  T.set_sink
+    (T.collector_sink (function
+      | T.Span_open { name; _ } -> spans := name :: !spans
+      | _ -> ()));
+  let outcome = try Ok (Re_step.re q) with e -> Error e in
+  T.set_sink T.null_sink;
+  (match outcome with
+  | Ok _ -> Alcotest.fail "RE^2 of ruling:3:2:1 fits the universe"
+  | Error (Re_step.Alphabet_too_large { labels; _ }) ->
+      check int_t "labels after the strong side" 120 labels
+  | Error e -> raise e);
+  check (Alcotest.list Alcotest.string) "no weak side"
+    [ "re.step"; "re.diagram"; "re.strong" ]
+    (List.rev !spans)
+
 let test_kernels_agree_structurally () =
   (* Beyond the counts: both kernels emit the very same problem. *)
   List.iter
@@ -587,6 +653,8 @@ let () =
           Alcotest.test_case "extendable" `Quick test_constr_extendable;
           Alcotest.test_case "choices" `Quick test_constr_choices;
           Alcotest.test_case "vacuous" `Quick test_constr_vacuous;
+          Alcotest.test_case "vacuous after a dead prefix" `Quick
+            test_constr_vacuous_after_dead_prefix;
           Alcotest.test_case "map_labels" `Quick test_constr_map_labels;
         ] );
       ( "diagram",
@@ -620,11 +688,14 @@ let () =
         ] );
       ("golden RE", golden_tests);
       ("golden RE parallel", golden_parallel_tests);
+      ("golden deep RE", deep_golden_tests);
       ( "kernel",
         [
           Alcotest.test_case "fast = reference structurally" `Quick
             test_kernels_agree_structurally;
           Alcotest.test_case "result cache" `Quick test_re_cache_hits;
+          Alcotest.test_case "alphabet past the universe" `Quick
+            test_alphabet_too_large;
           Alcotest.test_case "cache clear opens a fresh window" `Quick
             test_re_cache_clear_window;
         ] );

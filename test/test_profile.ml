@@ -195,6 +195,41 @@ let test_event_json_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Sequence provenance *)
 
+(* The RE phase spans: traced as [slocal re matching:4:0:1] runs it (one
+   RE step, then the fixed-point check's second step), every [re.step]
+   span has exactly the four phase spans as children, in order, and
+   together they cover at least 95% of the step time. *)
+let test_re_phase_spans () =
+  with_clean_telemetry @@ fun () ->
+  Re_step.set_kernel Re_step.Fast;
+  Re_step.clear_cache ();
+  let events = ref [] in
+  Telemetry.set_sink (Telemetry.collector_sink (fun e -> events := e :: !events));
+  let p = Slocal_problems.Matching_family.pi ~delta:4 ~x:0 ~y:1 in
+  ignore (Re_step.is_fixed_point (Re_step.re p) : bool);
+  Telemetry.set_sink Telemetry.null_sink;
+  let t = Profile.of_events (List.rev !events) in
+  let rec collect acc (s : Profile.span) =
+    let acc = if s.Profile.name = "re.step" then s :: acc else acc in
+    List.fold_left collect acc s.Profile.children
+  in
+  let steps = List.fold_left collect [] t.Profile.roots in
+  check int_t "four R steps" 4 (List.length steps);
+  let phases = [ "re.diagram"; "re.strong"; "re.weak"; "re.build" ] in
+  List.iter
+    (fun (s : Profile.span) ->
+      check (Alcotest.list string_t) "phase children" phases
+        (List.map (fun (c : Profile.span) -> c.Profile.name) s.Profile.children))
+    steps;
+  let total = List.fold_left (fun acc s -> acc + Profile.dur_ns s) 0 steps in
+  let covered =
+    List.fold_left (fun acc s -> acc + Profile.dur_ns s - Profile.self_ns s) 0 steps
+  in
+  check bool_t
+    (Printf.sprintf "phases cover >= 95%% of re.step (%d of %d ns)" covered total)
+    true
+    (float_of_int covered >= 0.95 *. float_of_int total)
+
 let test_sequence_provenance () =
   with_clean_telemetry @@ fun () ->
   let events = ref [] in
@@ -518,6 +553,7 @@ let () =
         ] );
       ( "sequence",
         [
+          Alcotest.test_case "RE phase spans" `Quick test_re_phase_spans;
           Alcotest.test_case "provenance events" `Quick
             test_sequence_provenance;
         ] );

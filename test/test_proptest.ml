@@ -18,6 +18,7 @@
    environment: PROPTEST_SEED=12345 dune runtest. *)
 
 module Multiset = Slocal_util.Multiset
+module Prng = Slocal_util.Prng
 open Slocal_formalism
 
 let seed = Proptest.seed_from_env ~default:420824
@@ -153,6 +154,169 @@ let constr_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The down-closure automaton on large constraints
+
+   Constraints up to arity 5 over up to 24 labels with up to a few
+   thousand configurations, queried with small position sets drawn
+   around actual configurations (so both answers occur), sometimes with
+   an empty set or a label no configuration uses.  The queries of two
+   constraints are interleaved, so each walk runs on an automaton whose
+   stamps the previous walks left behind. *)
+
+type automaton_case = {
+  pair : Constr.t * Constr.t;
+  queries : (bool * int list list * Multiset.t) list;
+      (* (ask the first constraint?, position sets, multiset) *)
+}
+
+let big_constr ~arity ~labels g =
+  let n = List.length labels in
+  let count = Proptest.int_range 1 (min 3000 (Slocal_util.Combinat.multichoose n arity)) g in
+  Constr.make ~arity
+    (List.init count (fun _ -> Proptest.multiset ~size:arity ~labels g))
+
+(* Per position: the label of a random configuration there (or a random
+   label), plus up to two random labels; rarely empty, or a label no
+   configuration uses — past the bitset universe half the time, which
+   keys the memo tables by label lists instead of bitsets. *)
+let sets_around ~positions ~labels c g =
+  let base = Array.of_list (Multiset.to_list (Prng.pick g (Constr.configs c))) in
+  List.init positions (fun i ->
+      match Prng.int g 40 with
+      | 0 -> []
+      | 1 -> [ (if Prng.bool g then List.length labels + 3 else 70) ]
+      | _ ->
+          let own =
+            if i < Array.length base && Prng.int g 4 > 0 then base.(i)
+            else Prng.pick g labels
+          in
+          own :: List.init (Prng.int g 3) (fun _ -> Prng.pick g labels))
+
+let automaton_gen g =
+  let arity = Proptest.int_range 2 5 g in
+  let n = Proptest.int_range 2 24 g in
+  let labels = List.init n Fun.id in
+  let a = big_constr ~arity ~labels g and b = big_constr ~arity ~labels g in
+  let queries =
+    List.init 12 (fun _ ->
+        let first = Prng.bool g in
+        let c = if first then a else b in
+        let positions = Proptest.int_range 0 arity g in
+        let m =
+          if Prng.bool g then
+            Multiset.of_list
+              (List.filteri (fun _ _ -> Prng.bool g)
+                 (Multiset.to_list (Prng.pick g (Constr.configs c))))
+          else Proptest.multiset ~size:(Proptest.int_range 0 (arity + 1) g) ~labels:(n :: labels) g
+        in
+        (first, sets_around ~positions ~labels c g, m))
+  in
+  { pair = (a, b); queries }
+
+let print_automaton_case { pair = a, b; queries } =
+  let sets ss =
+    String.concat " "
+      (List.map (fun s -> "{" ^ String.concat "," (List.map string_of_int s) ^ "}") ss)
+  in
+  Printf.sprintf "arity %d, %d and %d configurations\n%s" (Constr.arity a)
+    (Constr.size a) (Constr.size b)
+    (String.concat "\n"
+       (List.map
+          (fun (first, ss, m) ->
+            Printf.sprintf "%s: %s / m = %s" (if first then "A" else "B") (sets ss)
+              (String.concat "," (List.map string_of_int (Multiset.to_list m))))
+          queries))
+
+let automaton_agrees { pair = a, b; queries } =
+  let open Constr_reference in
+  List.for_all
+    (fun (first, ss, m) ->
+      let c = if first then a else b in
+      let full = List.length ss = Constr.arity c in
+      Constr.extendable m c = extendable m c
+      && Constr.extendable_labels (List.rev (Multiset.to_list m)) c = extendable m c
+      && Constr.exists_choice_partial ss c = exists_choice_partial ss c
+      && Constr.for_all_choices_partial ss c = for_all_choices_partial ss c
+      && ((not full)
+         || Constr.exists_choice ss c = exists_choice ss c
+            && Constr.for_all_choices ss c = for_all_choices ss c
+            && Re_step.violating_choice ss c
+               = Violating_choice_reference.violating_choice ss c))
+    (queries @ queries)
+
+let automaton_tests =
+  [
+    Alcotest.test_case "automaton queries = oracle (arity <= 5, <= 24 labels)"
+      `Slow (fun () ->
+        run
+          (Proptest.property ~count:60 ~name:"automaton queries" ~gen:automaton_gen
+             ~print:print_automaton_case automaton_agrees));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Incremental relaxation search vs the full re-check *)
+
+(* The budget keeps the full re-check's worst cases to milliseconds;
+   exhausting it on both sides at the same node is agreement too. *)
+let same_search src dst =
+  Relaxation.search ~max_nodes:20_000 src dst
+  = Relaxation_reference.search ~max_nodes:20_000 src dst
+
+let relaxation_gen g =
+  let d_white, d_black = Prng.pick g arity_profiles in
+  let src = Proptest.problem ~d_white ~d_black g in
+  (* Half the pairs relax RE of a problem back to the problem, as the
+     lower-bound sequence checks do (when its R̄ step is tractable, as
+     in the RE differential above); half are unrelated. *)
+  let re_of p =
+    let q = (Re_step.r_black p).Re_step.problem in
+    if r_bar_tractable q then Some (Re_step.r_white q).Re_step.problem else None
+  in
+  match Prng.bool g with
+  | true -> (
+      match re_of src with
+      | Some q -> (q, src)
+      | None | (exception (Invalid_argument _ | Re_step.Alphabet_too_large _)) -> (src, src))
+  | false -> (src, Proptest.problem ~d_white ~d_black g)
+
+let relaxation_tests =
+  let module MF = Slocal_problems.Matching_family in
+  [
+    Alcotest.test_case "incremental search = full re-check (random pairs)" `Slow
+      (fun () ->
+        run
+          (Proptest.property ~count:300 ~name:"relaxation search"
+             ~gen:relaxation_gen
+             ~print:(fun (a, b) ->
+               Proptest.print_problem a ^ "\n--\n" ^ Proptest.print_problem b)
+             (fun (src, dst) -> same_search src dst)));
+    Alcotest.test_case "incremental search = full re-check (E-SEQ pairs)" `Slow
+      (fun () ->
+        Re_step.set_kernel Re_step.Fast;
+        let pairs =
+          List.map
+            (fun (delta, x, y) ->
+              (Re_step.re (MF.pi ~delta ~x ~y), MF.pi ~delta ~x:(x + y) ~y))
+            [ (3, 0, 1); (4, 0, 1); (4, 1, 1); (4, 2, 1) ]
+          @ List.map
+              (fun ((x, y), (x', y')) -> (MF.pi ~delta:4 ~x ~y, MF.pi ~delta:4 ~x:x' ~y:y'))
+              [ ((0, 1), (1, 1)); ((0, 1), (0, 2)); ((1, 1), (2, 2)) ]
+        in
+        List.iteri
+          (fun i (src, dst) ->
+            let ((verdict, _) as fast) = Relaxation.search ~max_nodes:5_000_000 src dst in
+            Alcotest.(check bool)
+              (Printf.sprintf "pair %d: same verdict, witness and nodes" i)
+              true
+              (fast = Relaxation_reference.search ~max_nodes:5_000_000 src dst);
+            Alcotest.(check bool)
+              (Printf.sprintf "pair %d verified" i)
+              true
+              (match verdict with Some (Some _) -> true | _ -> false))
+          pairs);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation determinism: the sequential kernel allocates the same
    number of bytes on every run over the same seeded problems — the
    property underpinning the bench harness's 1.02x allocation gate
@@ -207,10 +371,16 @@ let alloc_determinism_tests =
           (List.combine first second))
   ]
 
+(* Suite names stay within the 19 characters of "constr-differential":
+   Alcotest sizes its name column by the longest suite name and
+   truncates test names to fit, so a longer one would change how every
+   test in this file is printed and reported. *)
 let () =
   Alcotest.run "proptest"
     [
       ("re-differential", re_tests);
       ("constr-differential", constr_tests);
+      ("automaton-oracle", automaton_tests);
+      ("relaxation-oracle", relaxation_tests);
       ("alloc-determinism", alloc_determinism_tests);
     ]
