@@ -62,7 +62,6 @@ module Derandomize = Supported_local.Derandomize
 module Bounds = Supported_local.Bounds
 module Counting = Supported_local.Counting
 module Framework = Supported_local.Framework
-module Serve = Slocal_serve.Serve
 
 let header id title =
   Format.printf "@.----------------------------------------------------------------@.";
@@ -810,17 +809,6 @@ let micro () =
            (let rng = Prng.create 9 in
             let g = Gen.random_regular rng ~n:24 ~d:3 in
             fun () -> Independence.exact g));
-      (* B-SERVE: warm-daemon request handling — one JSONL line through
-         [Serve.handle_line] on a state whose RE cache already holds the
-         problem, so this measures protocol parse + request window +
-         cache-hit RE + response serialization, the steady-state cost
-         of a request against a long-lived [slocal serve]. *)
-      Test.make ~name:"serve/handle-re-warm"
-        (Staged.stage
-           (let st = Serve.create () in
-            let line = {|{"op":"re","problem":"mm:3"}|} in
-            let _warm = Serve.handle_line st line in
-            fun () -> Serve.handle_line st line));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -15,16 +15,12 @@
      export   — print a problem in the textual document format
      lint     — static analysis: verify the formalism invariants
      audit    — re-validate a lower-bound certificate end to end
-     serve    — long-lived daemon: JSONL requests over a Unix socket,
-                warm RE cache, one request window per work request
-     client   — send requests to (or replay a capture against) a
-                serving daemon
 
    The kernel-facing subcommands (re, lift, solve, gen, audit, stats,
    sequence, sweep) accept [--trace FILE] to record a JSONL telemetry
-   trace (schema slocal.trace/5, with per-span GC-work deltas and
-   request-id stamps; see DESIGN.md) and [--metrics] to print the
-   counter summary to stderr on exit; each of them also appends one
+   trace (schema slocal.trace/5, with per-span GC-work deltas; see
+   DESIGN.md) and [--metrics] to print the counter summary to stderr
+   on exit; each of them also appends one
    slocal.run/1 manifest record to the run ledger (SLOCAL_LEDGER or
    .slocal/runs.jsonl; "off" disables).  re/solve/sequence/audit/stats
    additionally take [--openmetrics FILE] (Prometheus text exposition
@@ -32,7 +28,7 @@
    default when stderr is a TTY).  [trace report FILE] reads a trace
    back and prints a profile (span tree self-times, hotspots, critical
    path, provenance table), with [--alloc] (self/cumulative
-   allocation), [--json] (schema slocal.profile/2) and [--folded] /
+   allocation), [--json] (schema slocal.profile/3) and [--folded] /
    [--folded-alloc] (flamegraph.pl / speedscope) outputs.
 
    Problems are selected from the built-in families of the paper:
@@ -63,7 +59,6 @@ module Json = Slocal_obs.Json
 module Ledger = Slocal_obs.Ledger
 module Progress = Slocal_obs.Progress
 module Openmetrics = Slocal_obs.Openmetrics
-module Serve = Slocal_serve.Serve
 module Spec = Slocal_analysis.Spec
 
 (* A spec that does not parse is unusable input: print its SL000
@@ -178,6 +173,11 @@ let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
          exit 2, as for a spec that does not parse. *)
       finish "error";
       Format.eprintf "%a@." Diagnostic.pp (Chk.universe_error ~subject:problem labels);
+      exit 2
+  | exception Core.Zero_round.Unusable_support { problem; reason } ->
+      finish "error";
+      Format.eprintf "%a@." Diagnostic.pp
+        (Diagnostic.error ~code:"SL006" ~subject:problem reason);
       exit 2
   | exception e ->
       finish "error";
@@ -614,23 +614,13 @@ let trace_cmd =
           ~doc:
             "A JSONL trace recorded with --trace (schema slocal.trace/5).")
   in
-  let request_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "request" ] ~docv:"ID"
-          ~doc:
-            "Profile only the events stamped with request $(docv) (the req \
-             field written inside a slocal serve request window); the \
-             summary still lists every request present in the file.")
-  in
   let json_out =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the profile as a slocal.profile/2 JSON document to $(docv) \
+            "Write the profile as a slocal.profile/3 JSON document to $(docv) \
              ($(b,-) for stdout).")
   in
   let folded_out =
@@ -676,8 +666,8 @@ let trace_cmd =
         close_out oc;
         Format.eprintf "wrote %s %s@." what file
   in
-  let run trace_file request json_out folded_out folded_alloc_out top alloc =
-    let profile = Profile.of_file ?request trace_file in
+  let run trace_file json_out folded_out folded_alloc_out top alloc =
+    let profile = Profile.of_file trace_file in
     (* An empty or fully-damaged trace means there is nothing to
        profile: a loud SL040 diagnostic and exit 1 instead of a
        silently empty report. *)
@@ -686,20 +676,10 @@ let trace_cmd =
         (Diagnostic.pp_report ~machine:false)
         [
           Diagnostic.error ~code:"SL040" ~subject:trace_file
-            (match request with
-            | Some id ->
-                Printf.sprintf
-                  "trace contains no events for request %S (requests \
-                   present: %s)"
-                  id
-                  (match profile.Profile.requests with
-                  | [] -> "none"
-                  | reqs -> String.concat ", " (List.map fst reqs))
-            | None ->
-                Printf.sprintf
-                  "trace contains no parseable events (%d damaged line(s) \
-                   skipped)"
-                  profile.Profile.skipped_lines);
+            (Printf.sprintf
+               "trace contains no parseable events (%d damaged line(s) \
+                skipped)"
+               profile.Profile.skipped_lines);
         ];
       exit 1
     end;
@@ -743,7 +723,7 @@ let trace_cmd =
             critical path, counter attribution, provenance table; \
             --alloc for the self/cumulative allocation report")
       Term.(
-        const run $ file_arg $ request_opt $ json_out $ folded_out
+        const run $ file_arg $ json_out $ folded_out
         $ folded_alloc_out $ top $ alloc_flag)
   in
   Cmd.group
@@ -1137,8 +1117,7 @@ let runs_cmd =
         r.Ledger.skipped;
     if r.Ledger.foreign > 0 then
       Format.eprintf
-        "runs: %s: ignored %d record(s) of other schemas (e.g. \
-         slocal.request/2)@."
+        "runs: %s: ignored %d record(s) of other schemas@."
         path r.Ledger.foreign
   in
   let iso t =
@@ -1336,209 +1315,6 @@ let runs_cmd =
              subcommands")
     [ list_cmd; show_cmd; diff_cmd; gc_cmd ]
 
-(* ------------------------------------------------------------------ *)
-(* The serve daemon and its client: one warm process (RE cache, memo
-   tables, telemetry registry) answering JSONL requests over a
-   Unix-domain socket, each work request inside a
-   Telemetry.with_request window (DESIGN.md §9). *)
-
-let socket_opt =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path the daemon listens on.")
-
-let serve_cmd =
-  let record_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "record" ] ~docv:"FILE"
-          ~doc:
-            "Append one slocal.capture/1 line per work request (the request \
-             JSON plus its slocal.request/2 summary) to $(docv), for later \
-             $(b,slocal client --replay).")
-  in
-  let request_ledger_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "request-ledger" ] ~docv:"FILE"
-          ~doc:
-            "Append one slocal.request/2 record per work request to $(docv).")
-  in
-  let heartbeat_flag =
-    Arg.(
-      value & flag
-      & info [ "heartbeat" ]
-          ~doc:
-            "Emit throttled [serve] heartbeat lines (uptime, requests \
-             served, RE-cache hit rate) to stderr.")
-  in
-  let run socket record request_ledger heartbeat trace metrics openmetrics =
-    with_telemetry ~cmd:"serve" trace metrics openmetrics @@ fun () ->
-    let config =
-      {
-        Serve.record;
-        request_ledger;
-        heartbeat = (if heartbeat then Some stderr else None);
-        heartbeat_interval_ns =
-          Serve.default_config.Serve.heartbeat_interval_ns;
-      }
-    in
-    let st = Serve.create ~config () in
-    Format.eprintf "serve: listening on %s@." socket;
-    Serve.serve ~socket st;
-    Format.eprintf "serve: shut down after %d request(s) (%d error(s))@."
-      (Serve.served st) (Serve.errored st)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve re/sequence/solve/audit requests over a Unix socket, with a \
-          warm RE cache and per-request observability")
-    Term.(
-      const run $ socket_opt $ record_opt $ request_ledger_opt
-      $ heartbeat_flag $ trace_opt $ metrics_flag $ openmetrics_opt)
-
-let client_cmd =
-  let req_args =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"REQUEST"
-          ~doc:
-            "Request objects to send, one JSON value each (e.g. \
-             '{\"op\":\"re\",\"problem\":\"mm:3\"}').")
-  in
-  let replay_opt =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Re-send the requests of a slocal.capture/1 file recorded with \
-             $(b,slocal serve --record) and print each request's wall/alloc \
-             numbers next to the recorded ones.")
-  in
-  let wait_opt =
-    Arg.(
-      value & opt float 5.0
-      & info [ "wait" ] ~docv:"SECONDS"
-          ~doc:
-            "Keep retrying the connection for up to $(docv) seconds while \
-             the daemon starts.")
-  in
-  let check_sum_flag =
-    Arg.(
-      value & flag
-      & info [ "check-sum" ]
-          ~doc:
-            "After the batch, send a stats request and fail unless the \
-             daemon reports check_sum=true: the per-request counter deltas \
-             must sum exactly to the registry delta since daemon start (up \
-             to the documented out-of-window serve.* counters).")
-  in
-  let shutdown_flag =
-    Arg.(
-      value & flag
-      & info [ "shutdown" ] ~doc:"Send a shutdown request after the batch.")
-  in
-  let run socket wait requests replay check_sum shutdown =
-    let conn =
-      try Serve.connect ~wait_s:wait ~socket ()
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "client: cannot connect to %s: %s\n" socket
-          (Unix.error_message e);
-        exit 2
-    in
-    let failures = ref 0 in
-    let send_request ~recorded req =
-      match Serve.roundtrip conn req with
-      | Error msg ->
-          incr failures;
-          Printf.eprintf "client: %s\n" msg
-      | Ok resp -> (
-          print_endline (Json.to_string resp);
-          let ok =
-            Option.value ~default:false
-              (Option.bind (Json.member "ok" resp) Json.as_bool)
-          in
-          if not ok then incr failures;
-          match (recorded : Ledger.request_record option) with
-          | None -> ()
-          | Some prev -> (
-              match
-                Option.bind (Json.member "request" resp) (fun j ->
-                    Result.to_option (Ledger.request_of_json j))
-              with
-              | None -> ()
-              | Some now ->
-                  Format.eprintf
-                    "replay %-8s %-8s wall %a -> %a  alloc %dB -> %dB  cache \
-                     %d/%d -> %d/%d@."
-                    now.Ledger.rr_id now.Ledger.rr_op Telemetry.pp_duration
-                    (Int64.of_int prev.Ledger.rr_wall_ns)
-                    Telemetry.pp_duration
-                    (Int64.of_int now.Ledger.rr_wall_ns)
-                    prev.Ledger.rr_alloc_b now.Ledger.rr_alloc_b
-                    prev.Ledger.rr_cache_hits prev.Ledger.rr_cache_misses
-                    now.Ledger.rr_cache_hits now.Ledger.rr_cache_misses))
-    in
-    List.iter
-      (fun s ->
-        match Json.of_string s with
-        | Error msg ->
-            incr failures;
-            Printf.eprintf "client: invalid request %S: %s\n" s msg
-        | Ok j -> send_request ~recorded:None j)
-      requests;
-    (match replay with
-    | None -> ()
-    | Some path ->
-        let items, skipped = Serve.read_capture path in
-        if skipped > 0 then
-          Printf.eprintf "client: %s: skipped %d damaged capture line(s)\n"
-            path skipped;
-        List.iter (fun (req, recorded) -> send_request ~recorded req) items);
-    (if check_sum then
-       match Serve.roundtrip conn (Json.Obj [ ("op", Json.String "stats") ]) with
-       | Error msg ->
-           incr failures;
-           Printf.eprintf "client: stats: %s\n" msg
-       | Ok resp ->
-           print_endline (Json.to_string resp);
-           let ok =
-             Option.value ~default:false
-               (Option.bind (Json.member "result" resp) (fun r ->
-                    Option.bind (Json.member "check_sum" r) Json.as_bool))
-           in
-           if ok then Printf.eprintf "client: check-sum ok\n"
-           else begin
-             incr failures;
-             Printf.eprintf "client: check-sum FAILED\n"
-           end);
-    if shutdown then begin
-      match
-        Serve.roundtrip conn (Json.Obj [ ("op", Json.String "shutdown") ])
-      with
-      | Ok resp -> print_endline (Json.to_string resp)
-      | Error msg ->
-          incr failures;
-          Printf.eprintf "client: shutdown: %s\n" msg
-    end;
-    Serve.disconnect conn;
-    if !failures > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Send JSONL requests (or replay a recorded capture) to a slocal \
-          serve daemon")
-    Term.(
-      const run $ socket_opt $ wait_opt $ req_args $ replay_opt
-      $ check_sum_flag $ shutdown_flag)
-
 let () =
   let info =
     Cmd.info "slocal" ~version:"1.0.0"
@@ -1562,6 +1338,4 @@ let () =
             export_cmd;
             lint_cmd;
             audit_cmd;
-            serve_cmd;
-            client_cmd;
           ]))

@@ -5,7 +5,7 @@ module Telemetry = Slocal_obs.Telemetry
 module Trace = Slocal_obs.Trace
 module Json = Slocal_obs.Json
 
-let profile_schema_version = "slocal.profile/2"
+let profile_schema_version = "slocal.profile/3"
 
 (* staticcheck: per-call trace replay builds a fresh span table per parsed trace; never shared *)
 type span = {
@@ -34,9 +34,6 @@ type t = {
   event_count : int;
   skipped_lines : int;
   schema : string option;
-  requests : (string * int) list;
-      (* per-request event tally of the whole trace file ([req]
-         stamps), first-seen order; [] for raw event lists *)
   t_min : int64;
   t_max : int64;
   messages : (int64 * string) list;
@@ -197,7 +194,6 @@ let of_events ?(skipped = 0) events =
     event_count = !event_count;
     skipped_lines = skipped;
     schema = !schema;
-    requests = [];
     t_min = (if Int64.compare !t_min Int64.max_int = 0 then 0L else !t_min);
     t_max = (if Int64.compare !t_max Int64.min_int = 0 then 0L else !t_max);
     messages = List.rev !messages;
@@ -217,9 +213,9 @@ let of_events ?(skipped = 0) events =
 
 let of_read_result (r : Trace.read_result) =
   let p = of_events ~skipped:r.Trace.skipped r.Trace.events in
-  { p with schema = r.Trace.schema; requests = r.Trace.requests }
+  { p with schema = r.Trace.schema }
 
-let of_file ?request path = of_read_result (Trace.read_file ?request path)
+let of_file path = of_read_result (Trace.read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation *)
@@ -344,7 +340,7 @@ let parse_folded text =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* JSON (schema slocal.profile/2) *)
+(* JSON (schema slocal.profile/3) *)
 
 let rec span_to_json s : Json.t =
   Json.Obj
@@ -377,7 +373,6 @@ let to_json ~source t : Json.t =
       ("unclosed_spans", Json.Int t.unclosed);
       ("wall_ns", Json.Int (total_wall_ns t));
       ("alloc_b", Json.Int (total_alloc_b t));
-      ("requests", int_obj t.requests);
       ("tree", Json.List (List.map span_to_json t.roots));
       ( "totals",
         Json.List
@@ -517,14 +512,6 @@ let pp ?(top = 10) fmt t =
   | [] -> ()
   | ms ->
       List.iter (fun (_, text) -> Format.fprintf fmt "  | %s@." text) ms);
-  (match t.requests with
-  | [] -> ()
-  | reqs ->
-      Format.fprintf fmt "requests (%d): %s@." (List.length reqs)
-        (String.concat ", "
-           (List.map
-              (fun (id, n) -> Printf.sprintf "%s (%d events)" id n)
-              reqs)));
   let tot = totals t in
   let wall = max 1 (total_wall_ns t) in
   Format.fprintf fmt "@.hotspots (by self time, top %d of %d):@." top

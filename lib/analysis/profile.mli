@@ -1,17 +1,14 @@
 (** Trace analysis: parse an [slocal.trace/5] JSONL trace back into a
     span tree and compute a profile — per-span self vs. cumulative
     time {e and} self vs. cumulative allocation (with per-span GC-work
-    deltas), per-request filtering (the [req] stamps written inside
-    {!Slocal_obs.Telemetry.with_request} windows — pass [?request] to
-    {!of_file} to profile one daemon request), counter-delta
-    attribution, time- and bytes-weighted critical paths, top-k
-    hotspot tables, the per-step provenance ("derivation log") table,
-    and folded stacks (time- and bytes-weighted) for
-    [flamegraph.pl]/speedscope.
+    deltas), counter-delta attribution, time- and bytes-weighted
+    critical paths, top-k hotspot tables, the per-step provenance
+    ("derivation log") table, and folded stacks (time- and
+    bytes-weighted) for [flamegraph.pl]/speedscope.
 
     This is the read side of the observability stack: the CLI exposes
     it as [slocal trace report FILE] with human, [--alloc], [--json]
-    (schema [slocal.profile/2]), [--folded] and [--folded-alloc]
+    (schema [slocal.profile/3]), [--folded] and [--folded-alloc]
     output.
 
     Damaged input degrades gracefully: unparsable lines are skipped
@@ -20,8 +17,7 @@
     trace's last timestamp and flagged. *)
 
 val profile_schema_version : string
-(** ["slocal.profile/2"]: /1 without the ["domains"] and ["timeline"]
-    fields and the per-span ["domain"] ids. *)
+(** ["slocal.profile/3"]: /2 without the ["requests"] object. *)
 
 type span = {
   id : int;
@@ -49,11 +45,6 @@ type t = {
   event_count : int;
   skipped_lines : int;
   schema : string option;
-  requests : (string * int) list;
-      (** Per-request event tally of the whole trace file — the
-          [req] stamps in first-seen order, even when the profile
-          itself was filtered with [?request].  [[]] for {!of_events}
-          input. *)
   t_min : int64;
   t_max : int64;
   messages : (int64 * string) list;
@@ -74,11 +65,8 @@ val of_events : ?skipped:int -> Slocal_obs.Telemetry.event list -> t
 
 val of_read_result : Slocal_obs.Trace.read_result -> t
 
-val of_file : ?request:string -> string -> t
-(** With [?request], only the events stamped with that request id are
-    profiled (the CLI's [trace report --request ID]); the [requests]
-    field still tallies the whole file.
-    @raise Sys_error when the file cannot be opened. *)
+val of_file : string -> t
+(** @raise Sys_error when the file cannot be opened. *)
 
 (** {1 Per-span measures} *)
 
@@ -160,7 +148,7 @@ val parse_folded : string -> (string * int) list
 (** {1 Rendering} *)
 
 val to_json : source:string -> t -> Slocal_obs.Json.t
-(** The [slocal.profile/2] document (see DESIGN.md §6). *)
+(** The [slocal.profile/3] document (see DESIGN.md §6). *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** The human report: summary line, hotspot table (top [top] rows,

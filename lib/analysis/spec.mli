@@ -1,5 +1,5 @@
-(** The problem and graph spec strings accepted on the command line
-    (and by the serve daemon), parsed into typed results.
+(** The problem and graph spec strings accepted on the command line,
+    parsed into typed results.
 
     Every failure — an unknown spec, a non-integer field, parameters
     a family rejects, an unreadable [file:] path, a document that

@@ -36,7 +36,8 @@ val analyze :
   result
 (** [last_problem] is [Π_k] (or a relaxation of it); [k] the sequence
     length.  The support must be biregular.
-    @raise Invalid_argument if the support is not biregular. *)
+    @raise Zero_round.Unusable_support if the support is not biregular
+    or its degrees are below the arities of [last_problem]. *)
 
 val analyze_hypergraph :
   ?max_nodes:int ->
@@ -47,6 +48,8 @@ val analyze_hypergraph :
 (** The Corollary 3.5 / B.3 pipeline on a regular uniform support
     hypergraph: solves the lift on the incidence graph and charges
     [min {k, (g-4)/2}] rounds with [g] the hypergraph girth (half the
-    incidence girth). *)
+    incidence girth).
+    @raise Zero_round.Unusable_support as
+    {!Zero_round.solvable_non_bipartite}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -15,12 +15,22 @@ let biregular_arities support =
       if Bipartite.is_biregular support ~dw ~db then Some (dw, db) else None
   | _ -> None
 
+exception Unusable_support of { problem : string; reason : string }
+
+let unusable (problem : Problem.t) fmt =
+  Printf.ksprintf
+    (fun reason -> raise (Unusable_support { problem = problem.name; reason }))
+    fmt
+
 let lift_of_support support problem =
   match biregular_arities support with
-  | None -> invalid_arg "Zero_round: support graph is not biregular"
+  | None -> unusable problem "support graph is not biregular"
   | Some (delta, r) ->
       if delta < Problem.d_white problem || r < Problem.d_black problem then
-        invalid_arg "Zero_round: support degrees below problem arities";
+        unusable problem
+          "support degrees (Δ=%d, r=%d) below the problem arities (%d, %d): \
+           lift_{Δ,r} is undefined"
+          delta r (Problem.d_white problem) (Problem.d_black problem);
       Lift.lift ~delta ~r problem
 
 let solvable ?max_nodes support problem =
@@ -31,9 +41,12 @@ let solvable ?max_nodes support problem =
 let lift_of_hypergraph h problem =
   let delta = Hypergraph.max_degree h and r = Hypergraph.rank h in
   if not (Hypergraph.is_regular h delta && Hypergraph.is_uniform h r) then
-    invalid_arg "Zero_round: support hypergraph is not regular and uniform";
+    unusable problem "support hypergraph is not regular and uniform";
   if delta < Problem.d_white problem || r < Problem.d_black problem then
-    invalid_arg "Zero_round: hypergraph parameters below problem arities";
+    unusable problem
+      "support hypergraph parameters (Δ=%d, r=%d) below the problem arities \
+       (%d, %d): lift_{Δ,r} is undefined"
+      delta r (Problem.d_white problem) (Problem.d_black problem);
   Lift.lift ~delta ~r problem
 
 let solvable_non_bipartite ?max_nodes h problem =

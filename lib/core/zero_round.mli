@@ -18,6 +18,13 @@ open Slocal_graph
 open Slocal_formalism
 open Slocal_model
 
+exception Unusable_support of { problem : string; reason : string }
+(** The support cannot carry [lift_{Δ,r}(Π)] for the problem named
+    [problem]: a support graph that is not biregular, a support
+    hypergraph that is not regular and uniform, or degrees below the
+    problem's arities (Definition 3.1 needs Δ ≥ Δ′ and r ≥ r′).
+    [reason] says which, with the degrees involved. *)
+
 val solvable :
   ?max_nodes:int -> Bipartite.t -> Problem.t -> bool option
 (** [solvable support Π]: can [Π] be bipartitely solved in 0 rounds by
@@ -25,21 +32,23 @@ val solvable :
     must be (Δ,r)-biregular for some [Δ >= d_white Π],
     [r >= d_black Π]; decided via [lift_{Δ,r}(Π)] and the exact
     solver.  [None] on solver budget exhaustion.
-    @raise Invalid_argument if the support is not biregular or is too
+    @raise Unusable_support if the support is not biregular or is too
     small for the problem's arities. *)
 
 val lift_of_support : Bipartite.t -> Problem.t -> Lift.t
-(** The lift instance matching a biregular support graph. *)
+(** The lift instance matching a biregular support graph.
+    @raise Unusable_support as {!solvable}. *)
 
 val solvable_non_bipartite :
   ?max_nodes:int -> Hypergraph.t -> Problem.t -> bool option
 (** Corollary 3.3: 0-round solvability of [Π] on a Δ-regular r-uniform
     support hypergraph, decided through [lift_{Δ,r}(Π)] on the
     incidence graph.
-    @raise Invalid_argument if the hypergraph is not regular/uniform or
+    @raise Unusable_support if the hypergraph is not regular/uniform or
     its parameters are below the problem's arities. *)
 
 val lift_of_hypergraph : Hypergraph.t -> Problem.t -> Lift.t
+(** @raise Unusable_support as {!solvable_non_bipartite}. *)
 
 (** {1 The two-label sweep space} *)
 

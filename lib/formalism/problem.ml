@@ -101,16 +101,19 @@ let parse_items alphabet tokens =
   in
   items [] tokens
 
-(* Caps on one condensed line, checked before anything is expanded: a
-   line like [M^100000000] or [[A B]^40] would otherwise allocate
-   without bound.  [max_config_size] bounds the exponent sum (the size
-   of every configuration the line generates); [max_line_configs]
-   bounds the number of configurations the line expands to, counted
-   with multiplicity (the product of [|alternatives|^k]). *)
+(* Caps checked before anything is expanded: a line like [M^100000000]
+   or [[A B]^40], or a document of many lines just under the line cap,
+   would otherwise allocate without bound.  [max_config_size] bounds
+   the exponent sum (the size of every configuration a line
+   generates); [max_line_configs] bounds the number of configurations
+   a line expands to, counted with multiplicity (the product of
+   [|alternatives|^k]), and the same bound applies to the sum over all
+   lines of one constraint. *)
 let max_config_size = 256
 let max_line_configs = 1_000_000
 
-let check_caps items =
+(* The line's expanded configuration count, after checking both caps. *)
+let line_count items =
   let size =
     List.fold_left
       (fun acc (_, k) -> if k > max_int - acc then max_int else acc + k)
@@ -137,10 +140,10 @@ let check_caps items =
       (Printf.sprintf
          "Problem.parse: line expands to more than max_line_configs = %d \
           configurations"
-         max_line_configs)
+         max_line_configs);
+  count
 
 let expand_items_multi items =
-  check_caps items;
   let positions =
     List.concat_map (fun (alts, k) -> List.init k (fun _ -> alts)) items
   in
@@ -160,8 +163,16 @@ let parse_configs_multi alphabet s =
     |> List.rev_map List.rev
     |> List.filter (fun g -> g <> [])
   in
-  List.concat_map (fun g -> expand_items_multi (parse_items alphabet g)) groups
-  |> List.sort Multiset.compare
+  let lines = List.map (parse_items alphabet) groups in
+  (* Each line is at most the cap, so the running sum cannot overflow. *)
+  let total = List.fold_left (fun acc items -> acc + line_count items) 0 lines in
+  if total > max_line_configs then
+    invalid_arg
+      (Printf.sprintf
+         "Problem.parse: constraint expands to %d configurations, more than \
+          max_line_configs = %d"
+         total max_line_configs);
+  List.concat_map expand_items_multi lines |> List.sort Multiset.compare
 
 let parse_configs alphabet s =
   List.sort_uniq Multiset.compare (parse_configs_multi alphabet s)

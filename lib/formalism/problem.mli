@@ -41,15 +41,17 @@ val max_config_size : int
     line may have. *)
 
 val max_line_configs : int
-(** [1_000_000]: the most configurations one condensed line may expand
-    to, counted with multiplicity. *)
+(** [1_000_000]: the most configurations one condensed line, and all
+    lines of one constraint together, may expand to, counted with
+    multiplicity. *)
 
 val parse : name:string -> labels:string list -> white:string -> black:string -> t
 (** Build a problem from the condensed textual syntax described above.
     Each line is checked against {!max_config_size} and
-    {!max_line_configs} before it is expanded.
-    @raise Invalid_argument on syntax errors, unknown labels, or a line
-    over one of the two caps (the message names the cap). *)
+    {!max_line_configs}, and each constraint's total against
+    {!max_line_configs}, before anything is expanded.
+    @raise Invalid_argument on syntax errors, unknown labels, or input
+    over one of the caps (the message names the cap). *)
 
 val parse_configs : Alphabet.t -> string -> Slocal_util.Multiset.t list
 (** Parse a constraint in the condensed syntax, expanding condensed

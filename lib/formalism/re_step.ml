@@ -12,7 +12,6 @@ type kernel = Fast | Reference
 
 let kernel = ref Fast (* staticcheck: immutable-after-init selected once by the CLI / test setup before any RE runs *)
 let set_kernel k = kernel := k
-let current_kernel () = !kernel
 
 let c_steps = Telemetry.counter "re.steps"
 let c_enum_nodes = Telemetry.counter "re.enum_nodes"

@@ -52,8 +52,6 @@ val set_kernel : kernel -> unit
 (** Select the implementation behind {!r_black}, {!r_white}, {!re} and
     {!is_fixed_point}.  Default: [Fast]. *)
 
-val current_kernel : unit -> kernel
-
 val r_black : Problem.t -> grounding
 (** The operator [R]: maximality on the black side, existence on the
     white side. *)

@@ -293,6 +293,5 @@ let as_float = function
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let as_bool = function Bool b -> Some b | _ -> None
 let as_list = function List xs -> Some xs | _ -> None
 let as_obj = function Obj kvs -> Some kvs | _ -> None

@@ -49,6 +49,5 @@ val as_int : t -> int option
 val as_float : t -> float option
 (** [as_float] also accepts [Int] values. *)
 
-val as_bool : t -> bool option
 val as_list : t -> t list option
 val as_obj : t -> (string * t) list option

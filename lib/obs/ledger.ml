@@ -256,10 +256,10 @@ let read_channel ic =
          match Json.of_string line with
          | Error _ -> incr skipped
          | Ok j -> (
-             (* A well-formed record of some *other* schema (a
-                slocal.request/2 line in a shared ledger, a future
-                slocal.run/2) is foreign, not damaged: newer writers
-                must not make older readers report corruption. *)
+             (* A well-formed record of some *other* schema (a line
+                an older release wrote to a shared ledger, a future
+                slocal.run/2) is foreign, not damaged: other writers
+                must not make this reader report corruption. *)
              match Option.bind (Json.member "schema" j) Json.as_string with
              | Some s when s <> schema_version -> incr foreign
              | _ -> (
@@ -334,112 +334,6 @@ let gc ~path ~keep =
   with
   | Sys_error msg -> Error msg
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* ------------------------------------------------------------------ *)
-(* Per-request ledger records (schema slocal.request/2).  One line per
-   daemon request, appended to the same kind of JSONL file as run
-   records — possibly the *same* file, which is why the run reader
-   above counts unknown schemas as foreign instead of damaged. *)
-
-let request_schema_version = "slocal.request/2"
-
-type request_record = {
-  rr_id : string;
-  rr_op : string;
-  rr_problems : (string * int) list;
-  rr_kernel : string option;
-  rr_wall_ns : int;
-  rr_alloc_b : int;
-  rr_cache_hits : int;
-  rr_cache_misses : int;
-  rr_outcome : string;
-}
-
-let request_to_json r : Json.t =
-  Json.Obj
-    [
-      ("schema", Json.String request_schema_version);
-      ("id", Json.String r.rr_id);
-      ("op", Json.String r.rr_op);
-      ( "problems",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.rr_problems) );
-      ( "kernel",
-        match r.rr_kernel with None -> Json.Null | Some k -> Json.String k );
-      ("wall_ns", Json.Int r.rr_wall_ns);
-      ("alloc_b", Json.Int r.rr_alloc_b);
-      ("cache_hits", Json.Int r.rr_cache_hits);
-      ("cache_misses", Json.Int r.rr_cache_misses);
-      ("outcome", Json.String r.rr_outcome);
-    ]
-
-let request_of_json j : (request_record, string) result =
-  let str k =
-    match Option.bind (Json.member k j) Json.as_string with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let* schema = str "schema" in
-  if schema <> request_schema_version then
-    Error (Printf.sprintf "unsupported schema %S" schema)
-  else
-    let* rr_id = str "id" in
-    let* rr_op = str "op" in
-    let* rr_outcome = str "outcome" in
-    let* rr_problems = int_entries j "problems" in
-    let rr_kernel = Option.bind (Json.member "kernel" j) Json.as_string in
-    let opt_int k =
-      Option.value ~default:0 (Option.bind (Json.member k j) Json.as_int)
-    in
-    Ok
-      {
-        rr_id;
-        rr_op;
-        rr_problems;
-        rr_kernel;
-        rr_wall_ns = opt_int "wall_ns";
-        rr_alloc_b = opt_int "alloc_b";
-        rr_cache_hits = opt_int "cache_hits";
-        rr_cache_misses = opt_int "cache_misses";
-        rr_outcome;
-      }
-
-let append_request ~path r =
-  try
-    mkdir_p (Filename.dirname path);
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (Json.to_string (request_to_json r));
-        output_char oc '\n';
-        flush oc);
-    Ok ()
-  with
-  | Sys_error msg -> Error msg
-  | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-let read_requests_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let records = ref [] and skipped = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then begin
-             match Json.of_string line with
-             | Error _ -> incr skipped
-             | Ok j -> (
-                 match request_of_json j with
-                 | Ok r -> records := r :: !records
-                 | Error _ -> incr skipped)
-           end
-         done
-       with End_of_file -> ());
-      (List.rev !records, !skipped))
 
 (* ------------------------------------------------------------------ *)
 (* The in-process run context.  [begin_run] opens it; the [note_*]

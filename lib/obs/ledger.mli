@@ -76,9 +76,9 @@ type read_result = {
                       [slocal.run/1] records. *)
   foreign : int;
       (** Well-formed JSON lines whose [schema] field names another
-          schema ([slocal.request/2] records in a shared ledger, a
-          future [slocal.run/2]) — tolerated, counted, never treated
-          as corruption. *)
+          schema (per-request records that older releases appended to
+          a shared ledger, a future [slocal.run/2]) — tolerated,
+          counted, never treated as corruption. *)
 }
 
 val read_channel : in_channel -> read_result
@@ -101,47 +101,7 @@ val diff : record -> record -> (string * int * int) list
 val gc : path:string -> keep:int -> (int * int, string) result
 (** Rewrite the ledger atomically keeping only the newest [keep]
     records (damaged and foreign lines are dropped too — [gc] is a
-    run-ledger compactor; keep request records in their own file if
-    they must survive it).  Returns [(kept, dropped)]. *)
-
-(** {1 Per-request records (schema [slocal.request/2])}
-
-    The [slocal serve] daemon appends one record per request: id, op,
-    the problems it touched (canonical hashes), kernel,
-    wall/allocation cost and the RE-cache hit/miss delta — the
-    durable per-request companion of the per-run manifest above. *)
-
-val request_schema_version : string
-(** ["slocal.request/2"]: /1 without the [jobs] field. *)
-
-type request_record = {
-  rr_id : string;  (** Request id (unique within a daemon run). *)
-  rr_op : string;  (** ["re"], ["sequence"], ["solve"], ["audit"], …*)
-  rr_problems : (string * int) list;
-      (** [(name, canonical hash)] of every problem the request
-          parsed. *)
-  rr_kernel : string option;  (** Kernel mode the request ran under. *)
-  rr_wall_ns : int;
-  rr_alloc_b : int;
-      (** Allocation over the request window. *)
-  rr_cache_hits : int;  (** [re.cache_hits] delta over the window. *)
-  rr_cache_misses : int;  (** [re.cache_misses] delta over the window. *)
-  rr_outcome : string;  (** ["ok"] or ["error"]. *)
-}
-
-val request_to_json : request_record -> Json.t
-val request_of_json : Json.t -> (request_record, string) result
-
-val append_request : path:string -> request_record -> (unit, string) result
-(** Append one request record as a single flushed JSONL line (same
-    crash-tolerance contract as {!append}). *)
-
-val read_requests_file : string -> request_record list * int
-(** All [slocal.request/2] records of a JSONL file in order, plus the
-    count of non-blank lines that are damaged or of another schema
-    (run records in a shared file land in the skip count here, the
-    mirror image of [foreign] above).
-    @raise Sys_error when the file cannot be opened. *)
+    run-ledger compactor).  Returns [(kept, dropped)]. *)
 
 (** {1 The in-process run context}
 

@@ -288,35 +288,6 @@ let remove_gc_alarm () =
       gc_alarm := None
 
 (* ------------------------------------------------------------------ *)
-(* Request context.
-
-   A long-lived process (the [slocal serve] daemon) handles many
-   requests against the same registry.  [with_request] marks a window:
-   while it is open, every emitted event carries the request id (the
-   additive [req] trace field, stamped at serialization time), and the
-   summary returned at close reports only the window's own counter
-   deltas — computed from registry snapshots, so the global totals and
-   the live OpenMetrics registry stay exact.  Windows never overlap:
-   the daemon handles one request at a time, which is exactly what
-   makes the per-request deltas disjoint and their sum equal to the
-   global delta. *)
-
-(* staticcheck: per-call id of the one open request window; set and cleared by with_request *)
-let current_request_id : string option ref = ref None
-
-let current_request () = !current_request_id
-
-type request_summary = {
-  rq_id : string;
-  rq_wall_ns : int64;
-  rq_alloc_b : int;
-  rq_counters : (string * int) list;
-  rq_gauges : (string * int) list;
-}
-
-let c_request_count = counter "request.count"
-
-(* ------------------------------------------------------------------ *)
 (* Events and sinks *)
 
 type event =
@@ -417,39 +388,6 @@ let span nm f =
       in
       Fun.protect ~finally:finish f
 
-let with_request ~id f =
-  (* The snapshot window brackets everything the request does —
-     including its own [request.count] tick, so the sum of per-request
-     counter deltas over a batch equals the global registry delta over
-     the same batch.  The [request] span gives the trace a per-request
-     root; with the null sink it reduces to a direct call. *)
-  let before = snapshot () in
-  let a0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
-  current_request_id := Some id;
-  let v =
-    Fun.protect
-      ~finally:(fun () -> current_request_id := None)
-      (fun () ->
-        incr c_request_count;
-        span "request" f)
-  in
-  let t1 = now_ns () in
-  let alloc_b = int_of_float (Gc.allocated_bytes () -. a0) in
-  let counters, gauges =
-    List.partition
-      (fun (nm, _) -> kind_of_name nm <> Some Gauge)
-      (delta ~before ~after:(snapshot ()))
-  in
-  ( v,
-    {
-      rq_id = id;
-      rq_wall_ns = Int64.sub t1 t0;
-      rq_alloc_b = alloc_b;
-      rq_counters = counters;
-      rq_gauges = gauges;
-    } )
-
 let emit_counters () =
   if enabled () then
     emit (Counters { t_ns = now_ns (); values = nonzero_snapshot () })
@@ -515,23 +453,16 @@ let histogram_of_json j =
 
 let event_to_json ev : Json.t =
   let t ns = ("t_ns", Json.Int (Int64.to_int ns)) in
-  (* The additive [req] field: stamped at serialization time, so every
-     event emitted while a request window is open carries the id. *)
-  let obj fields =
-    match !current_request_id with
-    | None -> Json.Obj fields
-    | Some id -> Json.Obj (fields @ [ ("req", Json.String id) ])
-  in
   match ev with
   | Trace_start { t_ns } ->
-      obj
+      Json.Obj
         [
           ("schema", Json.String trace_schema_version);
           ("kind", Json.String "trace_start");
           t t_ns;
         ]
   | Span_open { id; parent; name; t_ns } ->
-      obj
+      Json.Obj
         [
           ("kind", Json.String "span_open");
           ("id", Json.Int id);
@@ -541,7 +472,7 @@ let event_to_json ev : Json.t =
           t t_ns;
         ]
   | Span_close { id; name; t_ns; dur_ns; alloc_b; minor_n; major_n } ->
-      obj
+      Json.Obj
         [
           ("kind", Json.String "span_close");
           ("id", Json.Int id);
@@ -553,7 +484,7 @@ let event_to_json ev : Json.t =
           ("major_n", Json.Int major_n);
         ]
   | Counters { t_ns; values } ->
-      obj
+      Json.Obj
         [
           ("kind", Json.String "counters");
           t t_ns;
@@ -561,7 +492,7 @@ let event_to_json ev : Json.t =
             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) values) );
         ]
   | Histograms { t_ns; values } ->
-      obj
+      Json.Obj
         [
           ("kind", Json.String "histograms");
           t t_ns;
@@ -570,7 +501,7 @@ let event_to_json ev : Json.t =
           );
         ]
   | Provenance { t_ns; step; label; values } ->
-      obj
+      Json.Obj
         [
           ("kind", Json.String "provenance");
           t t_ns;
@@ -580,7 +511,8 @@ let event_to_json ev : Json.t =
             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) values) );
         ]
   | Message { t_ns; text } ->
-      obj [ ("kind", Json.String "message"); t t_ns; ("text", Json.String text) ]
+      Json.Obj
+        [ ("kind", Json.String "message"); t t_ns; ("text", Json.String text) ]
 
 (* How many pending bytes the sink accumulates before writing them out:
    large enough to amortize the syscall, small enough that a killed

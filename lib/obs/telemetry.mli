@@ -22,16 +22,7 @@
     - {!jsonl_sink} writes one JSON object per line (the
       [slocal.trace/5] schema, documented in DESIGN.md) through one
       buffered writer;
-    - {!collector_sink} hands events to a callback (used by tests).
-
-    {b Request windows}.  A long-lived process ({!Slocal_serve}'s
-    [slocal serve] daemon) wraps each unit of work in
-    {!with_request}: events serialized inside the window carry the
-    request id (the optional [req] trace field) and the
-    returned {!request_summary} reports the window's own counter
-    deltas, wall time and allocation — computed from registry
-    snapshots, so global totals and the live OpenMetrics registry
-    stay exact. *)
+    - {!collector_sink} hands events to a callback (used by tests). *)
 
 (** {1 Metrics} *)
 
@@ -142,37 +133,6 @@ val histogram : string -> Histogram.t
 val histogram_snapshot : unit -> (string * Histogram.t) list
 (** All non-empty histograms, sorted by name.  The returned
     histograms are fresh copies — safe to keep. *)
-
-(** {1 Request windows} *)
-
-type request_summary = {
-  rq_id : string;
-  rq_wall_ns : int64;  (** Wall time of the window (monotonic). *)
-  rq_alloc_b : int;
-      (** Bytes allocated inside the window ([Gc.allocated_bytes]
-          delta). *)
-  rq_counters : (string * int) list;
-      (** Non-zero {e counter} deltas attributable to the window,
-          sorted by name. *)
-  rq_gauges : (string * int) list;
-      (** Non-zero gauge values at window close (last-value
-          semantics: gauges do not subtract). *)
-}
-
-val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
-(** [with_request ~id f] runs [f ()] inside a request window: the
-    global registry snapshot is taken at open and close and their
-    {!delta} becomes the summary's counter list; every event
-    serialized while the window is open carries [id] in the optional
-    [req] trace field; the body runs under a [request] span and bumps
-    the [request.count] counter {e inside} the window.  Windows are
-    process-global and must not overlap (the serve daemon handles one
-    request at a time) — that non-overlap is what makes per-request counter
-    deltas disjoint and their sum equal to the global delta.  The id
-    is cleared on exceptions too; the exception still propagates. *)
-
-val current_request : unit -> string option
-(** The id of the currently open request window, if any. *)
 
 (** {1 GC gauges} *)
 
@@ -293,9 +253,8 @@ val message : string -> unit
 
 val trace_schema_version : string
 (** ["slocal.trace/5"]: spans with allocation and GC-work deltas on
-    every [span_close], plus an optional [req] request-id field on
-    every event serialized inside a {!with_request} window.  The
-    {!Slocal_obs.Trace} reader accepts only this version. *)
+    every [span_close].  The {!Slocal_obs.Trace} reader accepts only
+    this version. *)
 
 val event_to_json : event -> Json.t
 (** The JSONL line for an event (see DESIGN.md for the schema). *)

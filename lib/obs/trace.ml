@@ -6,7 +6,6 @@ type read_result = {
   events : Telemetry.event list;
   skipped : int;
   schema : string option;
-  requests : (string * int) list;
 }
 
 let int64_field j k =
@@ -104,13 +103,8 @@ let parse_line line =
   | Error msg -> Error ("invalid JSON: " ^ msg)
   | Ok j -> event_of_json j
 
-let read_channel ?request ic =
+let read_channel ic =
   let events = ref [] and skipped = ref 0 and schema = ref None in
-  (* Per-request event tally in first-seen order; the [req] field is
-     the optional request stamp, read at the JSON level because
-     parsed events do not carry it. *)
-  let req_counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let req_order = ref [] in
   (try
      while true do
        let line = input_line ic in
@@ -126,39 +120,12 @@ let read_channel ?request ic =
                      schema :=
                        Option.bind (Json.member "schema" j) Json.as_string
                  | _ -> ());
-                 let rid =
-                   Option.bind (Json.member "req" j) Json.as_string
-                 in
-                 (match rid with
-                 | Some id ->
-                     if not (Hashtbl.mem req_counts id) then
-                       req_order := id :: !req_order;
-                     Hashtbl.replace req_counts id
-                       (1
-                       + Option.value ~default:0 (Hashtbl.find_opt req_counts id)
-                       )
-                 | None -> ());
-                 let keep =
-                   match request with
-                   | None -> true
-                   | Some want -> rid = Some want
-                 in
-                 if keep then events := ev :: !events)
+                 events := ev :: !events)
        end
      done
    with End_of_file -> ());
-  {
-    events = List.rev !events;
-    skipped = !skipped;
-    schema = !schema;
-    requests =
-      List.rev_map
-        (fun id -> (id, Option.value ~default:0 (Hashtbl.find_opt req_counts id)))
-        !req_order;
-  }
+  { events = List.rev !events; skipped = !skipped; schema = !schema }
 
-let read_file ?request path =
+let read_file path =
   let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> read_channel ?request ic)
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)

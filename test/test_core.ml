@@ -497,13 +497,22 @@ let test_hypergraph_framework () =
   | Some d, None -> check int_t "acyclic: k" 9 d
   | None, _ -> Alcotest.fail "expected a bound")
 
+(* [f ()] must fail with the typed unusable-support error naming [p]. *)
+let check_unusable what (p : Problem.t) f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Zero_round.Unusable_support" what
+  | exception Zero_round.Unusable_support { problem; reason } ->
+      check Alcotest.string (what ^ ": problem named") p.Problem.name problem;
+      check bool_t (what ^ ": reason given") true (reason <> "")
+
 let test_hypergraph_rejects () =
   let so = Classic.sinkless_orientation ~delta:3 in
-  let h = Hgen.tight_cycle 6 2 in
   (* rank 2 < black arity 3. *)
-  Alcotest.check_raises "parameters too small"
-    (Invalid_argument "Zero_round: hypergraph parameters below problem arities")
-    (fun () -> ignore (Zero_round.solvable_non_bipartite h so))
+  check_unusable "parameters too small" so (fun () ->
+      Zero_round.solvable_non_bipartite (Hgen.tight_cycle 6 2) so);
+  (* Vertex 0 lies on two hyperedges, the others on one. *)
+  let h = Hypergraph.create ~n:5 [ [ 0; 1; 2 ]; [ 0; 3; 4 ] ] in
+  check_unusable "not regular" so (fun () -> Zero_round.lift_of_hypergraph h so)
 
 (* ------------------------------------------------------------------ *)
 (* Lift white/black semantics re-checked against Definition 3.1 *)
@@ -688,9 +697,12 @@ let test_framework_k_caps_bound () =
 let test_zero_round_biregular_guard () =
   (* A non-biregular support is rejected. *)
   let b = Bipartite.of_sides ~nw:2 ~nb:2 [ (0, 0); (0, 1); (1, 0) ] in
-  Alcotest.check_raises "non-biregular support"
-    (Invalid_argument "Zero_round: support graph is not biregular") (fun () ->
-      ignore (Zero_round.solvable b coloring2))
+  check_unusable "non-biregular support" coloring2 (fun () ->
+      Zero_round.solvable b coloring2);
+  (* K_{2,3}: white degree 3, black degree 2 < black arity 3 of mm:3. *)
+  let mm3 = MF.maximal_matching ~delta:3 in
+  check_unusable "degrees below arities" mm3 (fun () ->
+      Zero_round.lift_of_support (Gen.complete_bipartite 2 3) mm3)
 
 let test_lift_names_unique () =
   (* Lift alphabets never collide even with multi-character base

@@ -707,6 +707,22 @@ let test_ledger_gc () =
     (List.map (fun (x : Ledger.record) -> x.Ledger.id) r.Ledger.records);
   check int_t "rewrite is clean" 0 r.Ledger.skipped
 
+let test_ledger_foreign_request_line () =
+  (* Older releases appended per-request records to the run ledger; a
+     well-formed line of that schema is foreign, not damage. *)
+  with_temp_ledger @@ fun path ->
+  (match Ledger.append ~path (sample_record ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  append_raw path
+    ({|{"schema":"slocal.request/2","id":"r1","op":"re","problems":{"mm3":42},|}
+    ^ {|"kernel":"fast","wall_ns":5000,"alloc_b":1024,"cache_hits":3,|}
+    ^ {|"cache_misses":0,"outcome":"ok"}|} ^ "\n");
+  let r = Ledger.read_file path in
+  check int_t "the run record reads" 1 (List.length r.Ledger.records);
+  check int_t "the request line is foreign" 1 r.Ledger.foreign;
+  check int_t "nothing skipped" 0 r.Ledger.skipped
+
 let test_ledger_run_context () =
   with_clean_telemetry @@ fun () ->
   with_temp_ledger @@ fun path ->
@@ -840,6 +856,34 @@ let test_legacy_trace_lines_skipped () =
     [ ("new", (128, 2, 1)) ]
     closes
 
+let test_trace_req_stamps_ignored () =
+  (* Traces written inside a request window of the retired daemon carry
+     a [req] member on every event; it is an unknown field and must
+     not change what the reader returns. *)
+  let lines =
+    [
+      {|{"schema":"slocal.trace/5","kind":"trace_start","t_ns":1|};
+      {|{"kind":"span_open","id":0,"parent":null,"name":"request","t_ns":2|};
+      {|{"kind":"span_close","id":0,"name":"request","t_ns":9,"dur_ns":7,"alloc_b":64,"minor_n":1,"major_n":0|};
+      {|{"kind":"counters","t_ns":10,"values":{"re.steps":1}|};
+    ]
+  in
+  let read suffix =
+    let file = Filename.temp_file "slocal_req" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+    let oc = open_out file in
+    List.iter (fun l -> output_string oc (l ^ suffix ^ "\n")) lines;
+    close_out oc;
+    Trace.read_file file
+  in
+  let plain = read "}" and stamped = read {|,"req":"r1"}|} in
+  check int_t "every event read" 4 (List.length plain.Trace.events);
+  check int_t "stamped lines are not damage" 0 stamped.Trace.skipped;
+  check bool_t "same events with and without req" true
+    (plain.Trace.events = stamped.Trace.events);
+  check (Alcotest.option string_t) "schema" plain.Trace.schema
+    stamped.Trace.schema
+
 let test_progress_dropped () =
   with_clean_telemetry @@ fun () ->
   let file = Filename.temp_file "slocal_progress" ".txt" in
@@ -865,80 +909,6 @@ let test_progress_dropped () =
   Progress.finish ();
   check int_t "only the first tick emitted" 1 (Progress.heartbeat_count ());
   check int_t "suppressed ticks counted" 2 (Progress.dropped_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Request windows *)
-
-let test_with_request_summary () =
-  with_clean_telemetry @@ fun () ->
-  let c = Telemetry.counter "test.rq" in
-  let v, s1 =
-    Telemetry.with_request ~id:"r1" (fun () ->
-        Telemetry.incr c;
-        Telemetry.incr c;
-        7)
-  in
-  check int_t "body result" 7 v;
-  check string_t "summary id" "r1" s1.Telemetry.rq_id;
-  check int_t "own counter delta" 2
-    (List.assoc "test.rq" s1.Telemetry.rq_counters);
-  check int_t "request.count lands inside its own window" 1
-    (List.assoc "request.count" s1.Telemetry.rq_counters);
-  check bool_t "window closed" true (Telemetry.current_request () = None);
-  let (), s2 =
-    Telemetry.with_request ~id:"r2" (fun () -> Telemetry.incr c)
-  in
-  check int_t "second window sees only its own increment" 1
-    (List.assoc "test.rq" s2.Telemetry.rq_counters);
-  (* Non-overlapping windows: the per-request deltas are disjoint and
-     sum exactly to the global registry delta. *)
-  let total =
-    Option.value ~default:0 (List.assoc_opt "test.rq" (Telemetry.snapshot ()))
-  in
-  check int_t "disjoint deltas sum to the global delta" total
-    (List.assoc "test.rq" s1.Telemetry.rq_counters
-    + List.assoc "test.rq" s2.Telemetry.rq_counters)
-
-let test_with_request_exception () =
-  with_clean_telemetry @@ fun () ->
-  (try
-     ignore
-       (Telemetry.with_request ~id:"boom" (fun () : int -> failwith "x"))
-   with Failure _ -> ());
-  check bool_t "request id cleared after an exception" true
-    (Telemetry.current_request () = None)
-
-let test_with_request_trace_stamp () =
-  with_clean_telemetry @@ fun () ->
-  let file = Filename.temp_file "slocal_req" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let oc = open_out file in
-  Telemetry.set_sink (Telemetry.jsonl_sink oc);
-  ignore (Telemetry.span "outside" (fun () -> 0));
-  ignore
-    (Telemetry.with_request ~id:"rA" (fun () ->
-         Telemetry.span "inside" (fun () -> 0)));
-  ignore
-    (Telemetry.with_request ~id:"rB" (fun () ->
-         Telemetry.span "inside" (fun () -> 0)));
-  Telemetry.set_sink Telemetry.null_sink;
-  close_out oc;
-  let whole = Trace.read_file file in
-  check bool_t "whole-file tally lists both request ids" true
-    (List.mem_assoc "rA" whole.Trace.requests
-    && List.mem_assoc "rB" whole.Trace.requests);
-  let ra = Trace.read_file ~request:"rA" file in
-  let names =
-    List.filter_map
-      (function Telemetry.Span_open { name; _ } -> Some name | _ -> None)
-      ra.Trace.events
-  in
-  check bool_t "filtered view keeps rA's spans only" true
-    (List.mem "inside" names
-    && List.mem "request" names
-    && not (List.mem "outside" names));
-  check bool_t "request tally still covers the whole file" true
-    (ra.Trace.requests = whole.Trace.requests)
 
 (* ------------------------------------------------------------------ *)
 
@@ -995,6 +965,8 @@ let () =
           Alcotest.test_case "counter diff" `Quick test_ledger_diff;
           Alcotest.test_case "gc" `Quick test_ledger_gc;
           Alcotest.test_case "run context" `Quick test_ledger_run_context;
+          Alcotest.test_case "mixed run + request schemas" `Quick
+            test_ledger_foreign_request_line;
         ] );
       ( "progress",
         [
@@ -1006,14 +978,7 @@ let () =
         [
           Alcotest.test_case "legacy schema lines skipped" `Quick
             test_legacy_trace_lines_skipped;
-        ] );
-      ( "requests",
-        [
-          Alcotest.test_case "window summary and disjoint deltas" `Quick
-            test_with_request_summary;
-          Alcotest.test_case "exception clears the window" `Quick
-            test_with_request_exception;
-          Alcotest.test_case "trace req stamps and filtering" `Quick
-            test_with_request_trace_stamp;
+          Alcotest.test_case "req stamps ignored" `Quick
+            test_trace_req_stamps_ignored;
         ] );
     ]

@@ -293,8 +293,10 @@ let test_profile_json () =
   check bool_t "tree present" true (Json.member "tree" doc <> None);
   check bool_t "totals present" true (Json.member "totals" doc <> None);
   check bool_t "folded present" true (Json.member "folded" doc <> None);
-  check bool_t "no domains or timeline fields" true
-    (Json.member "domains" doc = None && Json.member "timeline" doc = None)
+  check bool_t "no domains, timeline or requests fields" true
+    (Json.member "domains" doc = None
+    && Json.member "timeline" doc = None
+    && Json.member "requests" doc = None)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation accounting *)
@@ -475,62 +477,6 @@ let test_merge_associative () =
          && H.equal (H.merge ha hb) (H.merge hb ha)
          && H.equal ha (hist_of_list a)))
 
-(* ------------------------------------------------------------------ *)
-(* Per-request filtering (the req trace field) *)
-
-let write_request_trace () =
-  let file = Filename.temp_file "slocal_profile_req" ".jsonl" in
-  with_clean_telemetry (fun () ->
-      let oc = open_out file in
-      Telemetry.set_sink (Telemetry.jsonl_sink oc);
-      ignore (Telemetry.span "startup" (fun () -> 0));
-      ignore
-        (Telemetry.with_request ~id:"r1" (fun () ->
-             Telemetry.span "work" (fun () ->
-                 Telemetry.span "inner" (fun () -> 0))));
-      ignore
-        (Telemetry.with_request ~id:"r2" (fun () ->
-             Telemetry.span "work" (fun () -> 0)));
-      Telemetry.set_sink Telemetry.null_sink;
-      close_out oc);
-  file
-
-let test_request_filtered_profile () =
-  let file = write_request_trace () in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let whole = Profile.of_file file in
-  check bool_t "whole profile tallies both requests" true
-    (List.mem_assoc "r1" whole.Profile.requests
-    && List.mem_assoc "r2" whole.Profile.requests);
-  let names t =
-    List.map (fun a -> a.Profile.agg_name) (Profile.totals t)
-  in
-  check bool_t "whole profile sees the startup span" true
-    (List.mem "startup" (names whole));
-  let r1 = Profile.of_file ~request:"r1" file in
-  check bool_t "filtered profile drops out-of-request spans" true
-    (not (List.mem "startup" (names r1)));
-  check bool_t "filtered profile keeps the request's own tree" true
-    (List.mem "work" (names r1) && List.mem "inner" (names r1));
-  (* The whole-file tally survives filtering, so the report can name
-     the other requests present. *)
-  check bool_t "requests tally covers the whole file" true
-    (r1.Profile.requests = whole.Profile.requests);
-  let r2 = Profile.of_file ~request:"r2" file in
-  check bool_t "r2 has no inner span" true
-    (not (List.mem "inner" (names r2)))
-
-let test_request_profile_document () =
-  let file = write_request_trace () in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let t = Profile.of_file file in
-  let doc = Profile.to_json ~source:file t in
-  match Json.member "requests" doc with
-  | Some (Json.Obj kvs) ->
-      check bool_t "document lists both request tallies" true
-        (List.mem_assoc "r1" kvs && List.mem_assoc "r2" kvs)
-  | _ -> Alcotest.fail "profile document missing the requests object"
-
 let () =
   Alcotest.run "profile"
     [
@@ -568,14 +514,7 @@ let () =
           Alcotest.test_case "rendering" `Quick test_alloc_render;
         ] );
       ( "document",
-        [ Alcotest.test_case "slocal.profile/2" `Quick test_profile_json ] );
-      ( "requests",
-        [
-          Alcotest.test_case "per-request filtering" `Quick
-            test_request_filtered_profile;
-          Alcotest.test_case "requests in the document" `Quick
-            test_request_profile_document;
-        ] );
+        [ Alcotest.test_case "slocal.profile/3" `Quick test_profile_json ] );
       ( "properties",
         [
           Alcotest.test_case "merge associativity" `Quick
