@@ -891,11 +891,13 @@ let all_experiments =
   ]
 
 (* The CI smoke subset: cheap experiments only (pure tables, diagrams,
-   the small solver instances, and the graph substrate). *)
+   the small solver instances, the Theorem 3.2 cross-validation — the
+   one experiment reporting both solver.nodes and zrs.instance_checks —
+   and the graph substrate). *)
 let quick_ids =
   [
-    "FIG1"; "FIG2"; "FIG3"; "T15"; "T16"; "T17"; "T13"; "E-FIX"; "E-UNSAT"; "E-G";
-    "E-CYCLE";
+    "FIG1"; "FIG2"; "FIG3"; "T15"; "T16"; "T17"; "T13"; "E-LIFT"; "E-FIX"; "E-UNSAT";
+    "E-G"; "E-CYCLE";
   ]
 
 type experiment_record = {
@@ -1124,18 +1126,17 @@ let experiments_of json =
     (fun e -> (e.BR.ex_id, (e.BR.ex_wall_ns, e.BR.ex_counters)))
     (BR.experiments_of json)
 
-(* id -> re.enum_nodes, for experiments that report the counter. *)
-let enum_nodes = BR.enum_nodes
 let benchmarks_of = BR.benchmarks_of
 
-(* The CI gates: re.enum_nodes at 1.10x, alloc_b at 1.02x. *)
+(* The CI gates: the effort counters (re.enum_nodes, solver.nodes,
+   zrs.instance_checks) at 1.10x, alloc_b at 1.02x. *)
 let gate_ratio = BR.gate_ratio
 let alloc_gate_ratio = BR.alloc_gate_ratio
 let ratio_of = BR.ratio_of
 let breaches_gate ~base ~cur = BR.breaches ~ratio:gate_ratio ~base ~cur
 
 (* Regression gate between two slocal.bench/1 files: for every
-   experiment id present in both, the current [re.enum_nodes] may not
+   experiment id present in both, each gated effort counter may not
    exceed the baseline by more than 10%, and the current [alloc_b] may
    not exceed the baseline by more than 2% (deterministic sequential
    allocation; reports lacking the alloc
@@ -1150,20 +1151,16 @@ let compare_reports baseline_file current_file =
       Printf.eprintf "compare: %s: %s\n" current_file msg;
       1
   | Ok baseline, Ok current ->
-      let base = enum_nodes baseline and cur = enum_nodes current in
-      let regressions = ref 0 and compared = ref 0 in
+      let effort = BR.counter_gate ~baseline ~current in
+      let regressions = ref 0 and compared = List.length effort in
       List.iter
-        (fun (id, b) ->
-          match List.assoc_opt id cur with
-          | None -> ()
-          | Some c ->
-              incr compared;
-              let flag = breaches_gate ~base:b ~cur:c in
-              if flag then incr regressions;
-              Printf.printf "%-10s re.enum_nodes %8d -> %8d  (%.2fx)%s\n" id b
-                c (ratio_of c b)
-                (if flag then "  REGRESSED" else ""))
-        base;
+        (fun (ck : BR.counter_check) ->
+          if ck.BR.cc_breach then incr regressions;
+          Printf.printf "%-10s %-19s %8d -> %8d  (%.2fx)%s\n" ck.BR.cc_id
+            ck.BR.cc_counter ck.BR.cc_base ck.BR.cc_cur
+            (ratio_of ck.BR.cc_cur ck.BR.cc_base)
+            (if ck.BR.cc_breach then "  REGRESSED" else ""))
+        effort;
       let alloc = BR.alloc_gate ~baseline ~current in
       let alloc_regressions = ref 0 in
       List.iter
@@ -1178,15 +1175,15 @@ let compare_reports baseline_file current_file =
         (Printf.printf
            "%-10s alloc_b skipped (report predates the alloc fields)\n")
         alloc.BR.skipped;
-      if !compared = 0 && alloc.BR.checks = [] then begin
+      if compared = 0 && alloc.BR.checks = [] then begin
         Printf.eprintf
-          "compare: no shared experiments report re.enum_nodes or alloc_b\n";
+          "compare: no shared experiments report a gated counter or alloc_b\n";
         1
       end
       else if !regressions > 0 || !alloc_regressions > 0 then begin
         if !regressions > 0 then
-          Printf.printf "%d of %d experiment(s) regressed beyond 1.10x\n"
-            !regressions !compared;
+          Printf.printf "%d of %d gated counter(s) regressed beyond 1.10x\n"
+            !regressions compared;
         if !alloc_regressions > 0 then
           Printf.printf
             "%d experiment(s) regressed beyond %.2fx on allocation\n"
@@ -1195,7 +1192,7 @@ let compare_reports baseline_file current_file =
       end
       else begin
         Printf.printf
-          "all %d shared experiment(s) within 1.10x of baseline%s\n" !compared
+          "all %d gated counter(s) within 1.10x of baseline%s\n" compared
           (if alloc.BR.checks <> [] then
              Printf.sprintf " (and %d within %.2fx on allocation)"
                (List.length alloc.BR.checks)
@@ -1205,9 +1202,10 @@ let compare_reports baseline_file current_file =
       end
 
 (* [report BASE CUR]: a markdown regression report suitable for pasting
-   into a PR description — per-experiment wall-clock and re.enum_nodes
-   deltas with the same 1.10x gate as [compare], notable changes in the
-   other kernel counters, and the shared microbenchmark timings.
+   into a PR description — per-experiment wall-clock deltas, the gated
+   effort counters with the same 1.10x gate as [compare], notable
+   changes in the other kernel counters, and the shared microbenchmark
+   timings.
    Returns the gate's exit code (0 within tolerance, 1 regressed or
    unreadable). *)
 let report_markdown baseline_file current_file =
@@ -1237,19 +1235,18 @@ let report_markdown baseline_file current_file =
       in
       p "# Bench regression report\n\n";
       p "baseline: `%s` — current: `%s`\n\n" baseline_file current_file;
-      p "Gates: per-experiment `re.enum_nodes` may not exceed the baseline \
+      p "Gates: per-experiment %s may not exceed the baseline \
          by more than %.0f%%; per-experiment `alloc_b` by more than %.0f%% \
          (deterministic sequential allocation).\n\n"
+        (String.concat ", " (List.map (Printf.sprintf "`%s`") BR.gated_counters))
         ((gate_ratio -. 1.) *. 100.)
         ((alloc_gate_ratio -. 1.) *. 100.);
-      (* --- per-experiment wall clock and the gated counter --- *)
+      (* --- per-experiment wall clock --- *)
       p "## Experiments\n\n";
-      p "| id | wall (base) | wall (cur) | wall Δ | enum_nodes (base) | \
-         enum_nodes (cur) | Δ | gate |\n";
-      p "|---|---:|---:|---:|---:|---:|---:|---|\n";
-      let regressions = ref 0 and gated = ref 0 in
+      p "| id | wall (base) | wall (cur) | wall Δ |\n";
+      p "|---|---:|---:|---:|\n";
       List.iter
-        (fun (id, (bw, bc), (cw, cc)) ->
+        (fun (id, (bw, _), (cw, _)) ->
           let wall_cell = function
             | Some w -> pretty_ns w
             | None -> "–"
@@ -1259,26 +1256,24 @@ let report_markdown baseline_file current_file =
             | Some b, Some c -> Printf.sprintf "%.2fx" (ratio_of c b)
             | _ -> "–"
           in
-          let nodes_b = List.assoc_opt "re.enum_nodes" bc
-          and nodes_c = List.assoc_opt "re.enum_nodes" cc in
-          let nodes_cell = function
-            | Some n -> string_of_int n
-            | None -> "–"
-          in
-          let nodes_ratio, gate =
-            match (nodes_b, nodes_c) with
-            | Some b, Some c ->
-                incr gated;
-                let flag = breaches_gate ~base:b ~cur:c in
-                if flag then incr regressions;
-                ( Printf.sprintf "%.2fx" (ratio_of c b),
-                  if flag then "**REGRESSED**" else "ok" )
-            | _ -> ("–", "–")
-          in
-          p "| %s | %s | %s | %s | %s | %s | %s | %s |\n" id (wall_cell bw)
-            (wall_cell cw) wall_ratio (nodes_cell nodes_b)
-            (nodes_cell nodes_c) nodes_ratio gate)
+          p "| %s | %s | %s | %s |\n" id (wall_cell bw) (wall_cell cw) wall_ratio)
         shared;
+      (* --- the gated effort counters --- *)
+      let effort = BR.counter_gate ~baseline ~current in
+      let regressions = ref 0 and gated = List.length effort in
+      p "\n## Effort\n\n";
+      if effort <> [] then begin
+        p "| id | counter | base | cur | Δ | gate |\n";
+        p "|---|---|---:|---:|---:|---|\n";
+        List.iter
+          (fun (ck : BR.counter_check) ->
+            if ck.BR.cc_breach then incr regressions;
+            p "| %s | `%s` | %d | %d | %.2fx | %s |\n" ck.BR.cc_id ck.BR.cc_counter
+              ck.BR.cc_base ck.BR.cc_cur
+              (ratio_of ck.BR.cc_cur ck.BR.cc_base)
+              (if ck.BR.cc_breach then "**REGRESSED**" else "ok"))
+          effort
+      end;
       let only l l' =
         List.filter_map
           (fun (id, _) ->
@@ -1297,7 +1292,7 @@ let report_markdown baseline_file current_file =
           (fun (id, (_, bc), (_, cc)) ->
             List.filter_map
               (fun (k, b) ->
-                if k = "re.enum_nodes" then None
+                if List.mem k BR.gated_counters then None
                 else
                   match List.assoc_opt k cc with
                   | Some c
@@ -1364,23 +1359,23 @@ let report_markdown baseline_file current_file =
       end;
       (* --- verdict --- *)
       p "\n## Verdict\n\n";
-      if !gated = 0 then begin
-        p "No shared experiment reports `re.enum_nodes` — nothing to gate. \
+      if gated = 0 then begin
+        p "No shared experiment reports a gated counter — nothing to gate. \
            **FAIL**\n";
         1
       end
       else if !regressions > 0 || !alloc_regressions > 0 then begin
         if !regressions > 0 then
-          p "%d of %d gated experiment(s) regressed beyond %.2fx. **FAIL**\n"
-            !regressions !gated gate_ratio;
+          p "%d of %d gated counter(s) regressed beyond %.2fx. **FAIL**\n"
+            !regressions gated gate_ratio;
         if !alloc_regressions > 0 then
           p "%d experiment(s) regressed beyond %.2fx on allocation. **FAIL**\n"
             !alloc_regressions alloc_gate_ratio;
         1
       end
       else begin
-        p "All %d gated experiment(s) within %.2fx of baseline%s. **PASS**\n"
-          !gated gate_ratio
+        p "All %d gated counter(s) within %.2fx of baseline%s. **PASS**\n"
+          gated gate_ratio
           (if alloc.BR.checks <> [] then
              Printf.sprintf " (allocation within %.2fx)" alloc_gate_ratio
            else "");

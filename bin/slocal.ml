@@ -261,6 +261,17 @@ let lift_cmd =
   let run spec delta r trace metrics =
     with_telemetry ~cmd:"lift" trace metrics None @@ fun () ->
     let p = parse_problem spec in
+    (* Definition 3.1 needs Δ ≥ Δ' and r ≥ r': below them the lift is
+       undefined, SL006 as in [lint --delta/--r]. *)
+    (match
+       List.filter
+         (fun d -> d.Diagnostic.code = "SL006")
+         (Slocal_analysis.Invariants.problem_checks ~delta ~r p)
+     with
+    | [] -> ()
+    | diags ->
+        List.iter (Format.eprintf "%a@." Diagnostic.pp) diags;
+        exit 2);
     let l = Core.Lift.lift ~delta ~r p in
     print_string (Problem.to_string l.Core.Lift.problem);
     Format.printf "@.label meanings:@.";
@@ -328,43 +339,21 @@ let solve_cmd =
 let bounds_cmd =
   let n = Arg.(value & opt float 1e9 & info [ "n" ] ~doc:"Number of nodes.") in
   let run spec n =
-    (match String.split_on_char ':' spec with
-    | [ "matching"; d'; x; y ] ->
-        let delta' = int_of_string d' in
-        let b =
-          Core.Bounds.matching ~delta:(5 * delta') ~delta' ~x:(int_of_string x)
-            ~y:(int_of_string y) ~eps:0.1 ~n
-        in
-        Format.printf "x-maximal y-matching, Δ'=%d: det >= %.2f, rand >= %.2f, upper ~ %.2f@."
-          delta' b.Core.Bounds.deterministic b.Core.Bounds.randomized
-          (Option.value b.Core.Bounds.upper ~default:nan)
-    | [ "arb"; d; d'; a; c ] ->
-        let b =
-          Core.Bounds.arbdefective ~delta:(int_of_string d)
-            ~delta':(int_of_string d') ~alpha:(int_of_string a)
-            ~c:(int_of_string c) ~eps:0.25 ~n
-        in
-        Format.printf "arbdefective: det >= %.2f, rand >= %.2f, upper ~ %.2f@."
-          b.Core.Bounds.deterministic b.Core.Bounds.randomized
-          (Option.value b.Core.Bounds.upper ~default:nan)
-    | [ "ruling"; d; d'; a; c; beta ] ->
-        let b =
-          Core.Bounds.ruling_set ~delta:(int_of_string d)
-            ~delta':(int_of_string d') ~alpha:(int_of_string a)
-            ~c:(int_of_string c) ~beta:(int_of_string beta) ~eps:0.25 ~cbig:2.
-            ~n
-        in
-        Format.printf "ruling set: det >= %.2f, rand >= %.2f, upper ~ %.2f@."
-          b.Core.Bounds.deterministic b.Core.Bounds.randomized
-          (Option.value b.Core.Bounds.upper ~default:nan)
-    | [ "mis" ] ->
-        let c = Core.Bounds.mis_vs_chromatic ~n in
+    let two_sided what (b : Core.Bounds.two_sided) =
+      Format.printf "%s: det >= %.2f, rand >= %.2f, upper ~ %.2f@." what
+        b.Core.Bounds.deterministic b.Core.Bounds.randomized
+        (Option.value b.Core.Bounds.upper ~default:nan)
+    in
+    match or_exit (Spec.bound spec ~n) with
+    | Spec.Matching { delta'; bound } ->
+        two_sided (Printf.sprintf "x-maximal y-matching, Δ'=%d" delta') bound
+    | Spec.Arbdefective b -> two_sided "arbdefective" b
+    | Spec.Ruling_set b -> two_sided "ruling set" b
+    | Spec.Mis c ->
         Format.printf
           "MIS corollary at n=%.0f: Δ'=%.1f Δ=%.1f lower=%.2f χ-upper=%.2f@."
           n c.Core.Bounds.delta' c.Core.Bounds.delta c.Core.Bounds.lower_bound
           c.Core.Bounds.chromatic_upper
-    | _ -> invalid_arg "bounds spec: matching:D':X:Y | arb:D:D':A:C | ruling:D:D':A:C:B | mis");
-    ()
   in
   let spec_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc:"Bound spec.")
@@ -1054,8 +1043,7 @@ let gen_cmd =
     with_telemetry ~cmd:"gen" trace metrics None @@ fun () ->
     Ledger.note_seed seed;
     Telemetry.message (Printf.sprintf "gen seed=%d n=%d d=%d" seed n d);
-    let rng = Slocal_util.Prng.create seed in
-    let c = Gen.high_girth_low_independence rng ~n ~d () in
+    let c = or_exit (Spec.certified ~n ~d ~seed) in
     let g = c.Gen.graph in
     Format.printf
       "generated %d-regular graph: n=%d girth=%s (target %d: %s) independence<=%d (%s)@."

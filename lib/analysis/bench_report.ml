@@ -76,6 +76,11 @@ let benchmarks_of json =
    experiment set varies between quick and full runs). *)
 let gate_ratio = 1.10
 
+(* The deterministic effort counters held to [gate_ratio], one per
+   searching layer: RE enumeration, the exact solver, and the 0-round
+   table search. *)
+let gated_counters = [ "re.enum_nodes"; "solver.nodes"; "zrs.instance_checks" ]
+
 (* The allocation gate is far tighter: bytes allocated by the
    sequential kernels are deterministic for a fixed seed (the
    allocation-determinism proptest pins this down), so 2% headroom is
@@ -120,3 +125,34 @@ let alloc_gate ~baseline ~current =
           | _ -> skipped := b.ex_id :: !skipped))
     (experiments_of baseline);
   { checks = List.rev !checks; skipped = List.rev !skipped }
+
+type counter_check = {
+  cc_id : string;
+  cc_counter : string;
+  cc_base : int;
+  cc_cur : int;
+  cc_breach : bool;
+}
+
+let counter_gate ~baseline ~current =
+  let cur_exps = experiments_of current in
+  List.concat_map
+    (fun b ->
+      match List.find_opt (fun c -> c.ex_id = b.ex_id) cur_exps with
+      | None -> []
+      | Some c ->
+          List.filter_map
+            (fun k ->
+              match (List.assoc_opt k b.ex_counters, List.assoc_opt k c.ex_counters) with
+              | Some base, Some cur ->
+                  Some
+                    {
+                      cc_id = b.ex_id;
+                      cc_counter = k;
+                      cc_base = base;
+                      cc_cur = cur;
+                      cc_breach = breaches ~ratio:gate_ratio ~base ~cur;
+                    }
+              | _ -> None)
+            gated_counters)
+    (experiments_of baseline)

@@ -7,11 +7,11 @@
     allocation fields existed are skipped-and-noted, never a crash —
     is unit-testable from the test suite.
 
-    Two gates exist.  The [re.enum_nodes] gate allows
-    {!gate_ratio} (1.10x) because the experiment mix varies; the
-    allocation gate allows only {!alloc_gate_ratio} (1.02x) because
-    sequential-kernel allocation is deterministic for a fixed seed
-    (pinned down by the allocation-determinism proptest). *)
+    Two gates exist.  The effort gate holds each of
+    {!gated_counters} to {!gate_ratio} (1.10x) because the experiment
+    mix varies; the allocation gate allows only {!alloc_gate_ratio}
+    (1.02x) because sequential-kernel allocation is deterministic for a
+    fixed seed (pinned down by the allocation-determinism proptest). *)
 
 val schema_version : string
 (** ["slocal.bench/1"].  The per-experiment [alloc_b] / [minor_n] /
@@ -37,7 +37,11 @@ val enum_nodes : Slocal_obs.Json.t -> (string * int) list
 val benchmarks_of : Slocal_obs.Json.t -> (string * float) list
 
 val gate_ratio : float
-(** [1.10] — the [re.enum_nodes] gate. *)
+(** [1.10] — the effort gate. *)
+
+val gated_counters : string list
+(** The deterministic effort counters the effort gate holds:
+    [re.enum_nodes], [solver.nodes] and [zrs.instance_checks]. *)
 
 val alloc_gate_ratio : float
 (** [1.02] — the allocation gate. *)
@@ -65,3 +69,17 @@ type alloc_result = {
 val alloc_gate : baseline:Slocal_obs.Json.t -> current:Slocal_obs.Json.t -> alloc_result
 (** Evaluate the allocation gate over the experiments shared by two
     reports. *)
+
+type counter_check = {
+  cc_id : string;
+  cc_counter : string;  (** One of {!gated_counters}. *)
+  cc_base : int;
+  cc_cur : int;
+  cc_breach : bool;  (** [cur > base * gate_ratio]. *)
+}
+
+val counter_gate :
+  baseline:Slocal_obs.Json.t -> current:Slocal_obs.Json.t -> counter_check list
+(** Evaluate the effort gate: one check per experiment shared by the
+    two reports and gated counter both of them carry, in baseline
+    order, counters in {!gated_counters} order. *)

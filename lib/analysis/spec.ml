@@ -7,6 +7,7 @@ module MF = Slocal_problems.Matching_family
 module CF = Slocal_problems.Coloring_family
 module RF = Slocal_problems.Ruling_family
 module Classic = Slocal_problems.Classic
+module Bounds = Supported_local.Bounds
 
 exception Bad of string
 
@@ -52,6 +53,13 @@ let problem spec =
   Ledger.note_problem ~name:p.Problem.name ~hash:(Problem.canonical_hash p);
   p
 
+let certify ~n ~d ~seed =
+  Gen.high_girth_low_independence (Slocal_util.Prng.create seed) ~n ~d ()
+
+let certified ~n ~d ~seed =
+  typed ~what:"graph" (Printf.sprintf "gen -n %d -d %d" n d) @@ fun () ->
+  certify ~n ~d ~seed
+
 let graph spec =
   typed ~what:"graph" spec @@ fun () ->
   let bipartite_cycle k =
@@ -65,8 +73,7 @@ let graph spec =
   | [ "kbb"; a; b ] -> Gen.complete_bipartite (int a) (int b)
   | [ "cover-petersen" ] -> Gen.double_cover (Gen.petersen ())
   | [ "cover-random"; n; d; seed ] ->
-      let rng = Slocal_util.Prng.create (int seed) in
-      let c = Gen.high_girth_low_independence rng ~n:(int n) ~d:(int d) () in
+      let c = certify ~n:(int n) ~d:(int d) ~seed:(int seed) in
       Telemetry.message
         (Printf.sprintf "%s: base girth %s, target %d %s" spec
            (match c.Gen.girth with None -> "∞" | Some x -> string_of_int x)
@@ -78,3 +85,34 @@ let graph spec =
       Gen.random_biregular rng ~nw:(int nw) ~nb:(int nb) ~dw:(int dw)
         ~db:(int db)
   | _ -> raise (Bad "unknown graph spec")
+
+type bound =
+  | Matching of { delta' : int; bound : Bounds.two_sided }
+  | Arbdefective of Bounds.two_sided
+  | Ruling_set of Bounds.two_sided
+  | Mis of Bounds.mis_corollary
+
+let bound spec ~n =
+  typed ~what:"bound" spec @@ fun () ->
+  match String.split_on_char ':' spec with
+  | [ "matching"; d'; x; y ] ->
+      let delta' = int d' in
+      Matching
+        {
+          delta';
+          bound =
+            Bounds.matching ~delta:(5 * delta') ~delta' ~x:(int x) ~y:(int y)
+              ~eps:0.1 ~n;
+        }
+  | [ "arb"; d; d'; a; c ] ->
+      Arbdefective
+        (Bounds.arbdefective ~delta:(int d) ~delta':(int d') ~alpha:(int a)
+           ~c:(int c) ~eps:0.25 ~n)
+  | [ "ruling"; d; d'; a; c; beta ] ->
+      Ruling_set
+        (Bounds.ruling_set ~delta:(int d) ~delta':(int d') ~alpha:(int a)
+           ~c:(int c) ~beta:(int beta) ~eps:0.25 ~cbig:2. ~n)
+  | [ "mis" ] -> Mis (Bounds.mis_vs_chromatic ~n)
+  | _ ->
+      raise
+        (Bad "unknown bound spec (matching:D':X:Y | arb:D:D':A:C | ruling:D:D':A:C:B | mis)")

@@ -170,6 +170,10 @@ let has_root t = not (Config_set.is_empty t.configs)
 
 let[@inline] step a s l = if l < 0 || l >= a.nl then -1 else a.trans.((s * a.nl) + l)
 
+let root t = if has_root t then 0 else -1
+
+let step_state t s l = if s < 0 then -1 else step (automaton t) s l
+
 let next_gen a =
   a.gen <- a.gen + 1;
   a.gen

@@ -33,6 +33,19 @@ val extendable_labels : int list -> t -> bool
 (** [extendable_labels labels t] is [extendable (Multiset.of_list
     labels) t], for [labels] in any order. *)
 
+val root : t -> int
+(** The down-closure automaton's state for the empty multiset: [0], or
+    [-1] when [t] has no configurations.  With {!step_state} this lets
+    a caller keep one [int] per partial multiset instead of the
+    multiset itself. *)
+
+val step_state : t -> int -> int -> int
+(** [step_state t s l]: the state of the multiset of state [s] plus
+    label [l], or [-1] when that multiset is not {!extendable}.  A dead
+    state stays dead: [step_state t (-1) l = -1].  States fix their
+    size, so a live state reached in [arity t] steps from {!root} is
+    exactly a configuration of [t]. *)
+
 val exists_choice : int list list -> t -> bool
 (** [exists_choice sets t]: do per-position picks [ℓ_i ∈ sets_i] exist
     whose multiset is in [t]?  [sets] must have length [arity t].

@@ -1,6 +1,5 @@
 open Slocal_graph
 open Slocal_formalism
-module Multiset = Slocal_util.Multiset
 module Telemetry = Slocal_obs.Telemetry
 
 type outcome =
@@ -60,12 +59,18 @@ let edge_order g =
 (* The raw search.  Effort is accumulated into the caller's local
    refs (not the global telemetry counters) so the innermost loop
    costs exactly what it did before instrumentation; callers flush the
-   totals into the global counters once per solve. *)
+   totals into the global counters once per solve.
+
+   Each constrained node keeps the down-closure-automaton state of its
+   assigned incident labels ([Constr.root] before any) and how many of
+   them it has: a candidate label costs one [Constr.step_state], and
+   backtracking restores the two ints. *)
 let search_raw ~max_nodes ~forward_checking ~nodes ~backtracks ~prunes
     ~on_solution bip (p : Problem.t) =
   let g = Bipartite.graph bip in
   let order = edge_order g in
   let m = Graph.m g in
+  let n = Graph.n g in
   let sigma = Alphabet.size p.Problem.alphabet in
   let dw = Problem.d_white p and db = Problem.d_black p in
   let constr_of v =
@@ -73,10 +78,34 @@ let search_raw ~max_nodes ~forward_checking ~nodes ~backtracks ~prunes
     | Bipartite.White -> if Graph.degree g v = dw then Some p.Problem.white else None
     | Bipartite.Black -> if Graph.degree g v = db then Some p.Problem.black else None
   in
-  let node_constr = Array.init (Graph.n g) constr_of in
-  (* Partial multiset of already-assigned incident labels per node. *)
-  let partial = Array.make (Graph.n g) Multiset.empty in
+  let node_constr = Array.init n constr_of in
+  let state =
+    Array.map (function Some c -> Constr.root c | None -> 0) node_constr
+  in
+  let filled = Array.make n 0 in
   let labeling = Array.make m (-1) in
+  (* [next w l]: the state of [w] after adding [l] ([0] at an
+     unconstrained node); [accepts w s'] decides the label from it.
+     Without forward checking a state may die below full arity and is
+     only tested once the node is full, where a live state is exactly
+     a configuration. *)
+  let next w l =
+    match node_constr.(w) with
+    | None -> 0
+    | Some c -> Constr.step_state c state.(w) l
+  in
+  let accepts w s' =
+    match node_constr.(w) with
+    | None -> true
+    | Some c ->
+        if forward_checking then
+          s' >= 0
+          || begin
+               incr prunes;
+               false
+             end
+        else filled.(w) + 1 < Constr.arity c || s' >= 0
+  in
   let rec assign i =
     incr nodes;
     if !nodes > max_nodes then raise Budget;
@@ -89,29 +118,25 @@ let search_raw ~max_nodes ~forward_checking ~nodes ~backtracks ~prunes
     else begin
       let e = order.(i) in
       let u, v = Graph.edge g e in
+      let su0 = state.(u) and sv0 = state.(v) in
       for l = 0 to sigma - 1 do
-        let ok_at w =
-          match node_constr.(w) with
-          | None -> true
-          | Some c ->
-              let part = Multiset.add l partial.(w) in
-              if forward_checking then
-                Constr.extendable part c
-                || begin
-                     incr prunes;
-                     false
-                   end
-              else Multiset.size part < Constr.arity c || Constr.mem part c
-        in
-        if ok_at u && ok_at v then begin
-          labeling.(e) <- l;
-          partial.(u) <- Multiset.add l partial.(u);
-          partial.(v) <- Multiset.add l partial.(v);
-          assign (i + 1);
-          incr backtracks;
-          partial.(u) <- Multiset.remove l partial.(u);
-          partial.(v) <- Multiset.remove l partial.(v);
-          labeling.(e) <- -1
+        let su = next u l in
+        if accepts u su then begin
+          let sv = next v l in
+          if accepts v sv then begin
+            labeling.(e) <- l;
+            state.(u) <- su;
+            state.(v) <- sv;
+            filled.(u) <- filled.(u) + 1;
+            filled.(v) <- filled.(v) + 1;
+            assign (i + 1);
+            incr backtracks;
+            state.(u) <- su0;
+            state.(v) <- sv0;
+            filled.(u) <- filled.(u) - 1;
+            filled.(v) <- filled.(v) - 1;
+            labeling.(e) <- -1
+          end
         end
       done
     end

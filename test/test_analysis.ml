@@ -1002,6 +1002,42 @@ let test_bench_alloc_gate () =
        (fun c -> c.BR.ac_id = "FIG1" && c.BR.ac_breach)
        bad.BR.checks)
 
+(* The effort gate holds every gated counter an experiment reports on
+   both sides, and only those. *)
+let test_bench_effort_gate () =
+  let doc ~enum ~nodes ~checks =
+    bench_doc
+      (Printf.sprintf
+         {|{"schema":"slocal.bench/1","mode":"tables","quick":false,
+            "experiments":[
+              {"id":"FIG1","wall_ns":100,"counters":{"re.enum_nodes":%d}},
+              {"id":"E-LIFT","wall_ns":100,
+               "counters":{"solver.nodes":%d,"zrs.instance_checks":%d,
+                           "zrs.table_hits":5}}],
+            "benchmarks":[]}|}
+         enum nodes checks)
+  in
+  let baseline = doc ~enum:100 ~nodes:1000 ~checks:5000 in
+  let gate current =
+    List.map
+      (fun c -> (c.BR.cc_id, c.BR.cc_counter, c.BR.cc_breach))
+      (BR.counter_gate ~baseline ~current)
+  in
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.string Alcotest.string bool_t))
+    "three gated counters, within 10%"
+    [
+      ("FIG1", "re.enum_nodes", false);
+      ("E-LIFT", "solver.nodes", false);
+      ("E-LIFT", "zrs.instance_checks", false);
+    ]
+    (gate (doc ~enum:110 ~nodes:1100 ~checks:5500));
+  check bool_t "solver.nodes beyond 10% breaches" true
+    (List.mem ("E-LIFT", "solver.nodes", true) (gate (doc ~enum:100 ~nodes:1101 ~checks:5000)));
+  check bool_t "zrs.instance_checks beyond 10% breaches" true
+    (List.mem ("E-LIFT", "zrs.instance_checks", true)
+       (gate (doc ~enum:100 ~nodes:1000 ~checks:5501)))
+
 let test_bench_forward_compat () =
   (* The committed pre-allocation baseline (a real slocal.bench/1
      report written before alloc_b existed) must parse cleanly and be
@@ -1081,6 +1117,23 @@ let test_spec_errors () =
     (Result.is_ok (Spec.problem "mm:3"));
   check bool_t "a good graph spec parses" true
     (Result.is_ok (Spec.graph "cycle:3"))
+
+(* The parameters of [slocal gen] and [slocal bounds] go through Spec
+   too: what the generator or a theorem rejects is SL000, not an
+   exception. *)
+let test_spec_gen_bounds () =
+  sl000 "d not below n" (Spec.certified ~n:5 ~d:7 ~seed:1);
+  sl000 "no nodes" (Spec.certified ~n:0 ~d:3 ~seed:1);
+  sl000 "degree below 2" (Spec.certified ~n:10 ~d:1 ~seed:1);
+  sl000 "bound spec missing its fields" (Spec.bound "matching" ~n:2.);
+  sl000 "non-integer bound field" (Spec.bound "matching:x:1:1" ~n:1e9);
+  sl000 "parameters outside the theorem" (Spec.bound "arb:1:1:1:1" ~n:1e9);
+  check bool_t "a good gen parses" true
+    (Result.is_ok (Spec.certified ~n:12 ~d:3 ~seed:1));
+  List.iter
+    (fun spec ->
+      check bool_t (spec ^ " evaluates") true (Result.is_ok (Spec.bound spec ~n:1e9)))
+    [ "matching:10:0:1"; "mis"; "ruling:1000:100:0:1:2" ]
 
 let test_expansion_caps () =
   (* A huge exponent used to run for seconds and die with a stack
@@ -1222,6 +1275,7 @@ let () =
           Alcotest.test_case "parse and gate arithmetic" `Quick
             test_bench_report_parse;
           Alcotest.test_case "allocation gate" `Quick test_bench_alloc_gate;
+          Alcotest.test_case "effort gate" `Quick test_bench_effort_gate;
           Alcotest.test_case "pre-alloc baseline forward-compat" `Quick
             test_bench_forward_compat;
         ] );
@@ -1230,6 +1284,7 @@ let () =
           Alcotest.test_case "fixtures give typed results" `Quick
             test_spec_fixtures;
           Alcotest.test_case "bad specs are SL000" `Quick test_spec_errors;
+          Alcotest.test_case "gen and bounds parameters" `Quick test_spec_gen_bounds;
           Alcotest.test_case "expansion caps" `Quick test_expansion_caps;
         ] );
       ( "slp-lint",

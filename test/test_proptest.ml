@@ -317,6 +317,131 @@ let relaxation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Flat-state deciders vs the list-based oracles
+
+   [Solver] keeps one automaton state per node and [Zero_round_search]
+   compiles its instances to int arrays; both must run exactly the
+   search of the oracles in [test/]: same outcome, labeling or table,
+   and the same effort, budget exhaustion included.  Supports are
+   bipartite cycles and random biregular graphs; problems are random,
+   their arities matching the support's degrees or not (a node whose
+   degree differs from its side's arity is unconstrained for the
+   solver, and the 0-round search caps input degrees at the arities). *)
+
+module Bipartite = Slocal_graph.Bipartite
+module Solver = Slocal_model.Solver
+module Zrs = Slocal_model.Zero_round_search
+module Telemetry = Slocal_obs.Telemetry
+
+let bipartite_cycle k =
+  Bipartite.make
+    (Slocal_graph.Graph_gen.cycle (2 * k))
+    (Array.init (2 * k) (fun v -> if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
+
+(* (white degree, black degree, whites, blacks) of small biregular
+   supports, at most [max_edges] edges. *)
+let biregular_shapes =
+  [ (2, 2, 2, 2); (2, 2, 3, 3); (2, 2, 4, 4); (2, 3, 3, 2); (3, 2, 2, 3);
+    (3, 3, 3, 3); (2, 3, 6, 4); (3, 3, 4, 4); (3, 2, 4, 6); (2, 2, 6, 6) ]
+
+let support ~max_edges g =
+  let shapes = List.filter (fun (dw, _, nw, _) -> dw * nw <= max_edges) biregular_shapes in
+  if Prng.int g 3 = 0 then bipartite_cycle (Proptest.int_range 2 (max_edges / 2) g)
+  else
+    let dw, db, nw, nb = Prng.pick g shapes in
+    Slocal_graph.Graph_gen.random_biregular g ~nw ~nb ~dw ~db
+
+type decider_case = { bip : Bipartite.t; problem : Problem.t; knob : int }
+
+let decider_gen ~max_edges g =
+  let bip = support ~max_edges g in
+  let d_white, d_black = Prng.pick g arity_profiles in
+  { bip; problem = Proptest.problem ~d_white ~d_black g; knob = Prng.int g 6 }
+
+let print_decider_case c =
+  let gr = Bipartite.graph c.bip in
+  Printf.sprintf "support: %s\nknob %d\n%s"
+    (String.concat " "
+       (List.map
+          (fun (u, v) -> Printf.sprintf "%d-%d" u v)
+          (Array.to_list (Slocal_graph.Graph.edges gr))))
+    c.knob
+    (Proptest.print_problem c.problem)
+
+let counter_delta names f =
+  let ms = List.map Telemetry.counter names in
+  let before = List.map Telemetry.value ms in
+  let r = f () in
+  (r, List.map2 (fun m b -> Telemetry.value m - b) ms before)
+
+let solver_budget = 20_000
+
+(* A third of the solves run under a budget small enough to end them. *)
+let same_solve { bip; problem; knob } =
+  let forward_checking = knob mod 2 = 0 in
+  let max_nodes = if knob >= 4 then 40 else solver_budget in
+  let outcome, (st : Solver.stats) =
+    Solver.solve_stats ~max_nodes ~forward_checking bip problem
+  and outcome', (st' : Solver_reference.stats) =
+    Solver_reference.solve_stats ~max_nodes ~forward_checking bip problem
+  in
+  outcome = outcome'
+  && (st.Solver.nodes, st.Solver.backtracks, st.Solver.fc_prunes)
+     = (st'.Solver_reference.nodes, st'.Solver_reference.backtracks, st'.Solver_reference.fc_prunes)
+  && st.Solver.budget_exhausted = (outcome = Solver.Budget_exceeded)
+
+let same_count { bip; problem; knob } =
+  let limit = if knob = 0 then max_int else knob in
+  let count, deltas =
+    counter_delta [ "solver.nodes"; "solver.backtracks"; "solver.fc_prunes" ] (fun () ->
+        Solver.count_solutions ~max_nodes:solver_budget ~limit bip problem)
+  and count', (st' : Solver_reference.stats) =
+    Solver_reference.count_solutions ~max_nodes:solver_budget ~limit bip problem
+  in
+  count = count'
+  && deltas
+     = [ st'.Solver_reference.nodes; st'.Solver_reference.backtracks;
+         st'.Solver_reference.fc_prunes ]
+
+let zrs_budget = 20_000
+
+let bindings tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let same_search { bip; problem; _ } =
+  let d_in_white = Problem.d_white problem and d_in_black = Problem.d_black problem in
+  let found, deltas =
+    counter_delta
+      [ "zrs.assignments"; "zrs.instance_checks"; "zrs.table_hits"; "zrs.table_misses" ]
+      (fun () ->
+        Zrs.find_algorithm ~max_assignments:zrs_budget bip problem ~d_in_white ~d_in_black)
+  and found', (n' : Zero_round_search_reference.counts) =
+    Zero_round_search_reference.find_algorithm ~max_assignments:zrs_budget bip problem
+      ~d_in_white ~d_in_black
+  in
+  let open Zero_round_search_reference in
+  deltas = [ n'.assignments; n'.instance_checks; n'.table_hits; n'.table_misses ]
+  &&
+  match (found, found') with
+  | None, None | Some None, Some None -> true
+  | Some (Some t), Some (Some t') ->
+      bindings t = bindings t'
+      && Zrs.table_correct bip problem ~d_in_white ~d_in_black t
+  | _ -> false
+
+let decider_property ~count ~max_edges ~name prop =
+  Proptest.property ~count ~name ~gen:(decider_gen ~max_edges) ~print:print_decider_case prop
+
+let decider_tests =
+  [
+    Alcotest.test_case "solver = multiset solver (both fc modes)" `Slow (fun () ->
+        run (decider_property ~count:300 ~max_edges:18 ~name:"solver" same_solve));
+    Alcotest.test_case "count_solutions = multiset solver" `Slow (fun () ->
+        run (decider_property ~count:200 ~max_edges:18 ~name:"count" same_count));
+    Alcotest.test_case "0-round search = list-based search" `Slow (fun () ->
+        run (decider_property ~count:150 ~max_edges:10 ~name:"zrs" same_search));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation determinism: the sequential kernel allocates the same
    number of bytes on every run over the same seeded problems — the
    property underpinning the bench harness's 1.02x allocation gate
@@ -382,5 +507,6 @@ let () =
       ("constr-differential", constr_tests);
       ("automaton-oracle", automaton_tests);
       ("relaxation-oracle", relaxation_tests);
+      ("decider-oracle", decider_tests);
       ("alloc-determinism", alloc_determinism_tests);
     ]
